@@ -179,9 +179,8 @@ void BM_BoundSelectorSelect(benchmark::State& state) {
   const int m = static_cast<int>(state.range(0));
   const auto& db = SynDb(m);
   ptk::core::SelectorOptions options;
-  options.k = static_cast<int>(state.range(2));
+  options.k = static_cast<int>(state.range(1));
   options.fanout = 8;
-  options.parallel = ParallelFor(static_cast<int>(state.range(1)));
   options.membership =
       std::make_shared<ptk::rank::MembershipCalculator>(db, options.k);
   for (auto _ : state) {
@@ -193,10 +192,7 @@ void BM_BoundSelectorSelect(benchmark::State& state) {
     benchmark::DoNotOptimize(out);
   }
 }
-BENCHMARK(BM_BoundSelectorSelect)
-    ->ArgNames({"m", "threads", "k"})
-    ->Args({2000, 1, 10})
-    ->Args({2000, 8, 10});
+BENCHMARK(BM_BoundSelectorSelect)->ArgNames({"m", "k"})->Args({2000, 10});
 
 void BM_WorldSamplerEstimate(benchmark::State& state) {
   const int m = static_cast<int>(state.range(0));
@@ -220,10 +216,11 @@ BENCHMARK(BM_WorldSamplerEstimate)
     ->Args({200, 4, 10})
     ->Args({200, 8, 10});
 
+// A fixed batch of 64 pairs' tables, one ComputePairTables call each on
+// the calling thread — how the selectors evaluate candidates.
 void BM_PairTablesBatch(benchmark::State& state) {
   const auto& db = SynDb(2000);
   ptk::rank::MembershipCalculator calc(db, 10);
-  const auto parallel = ParallelFor(static_cast<int>(state.range(0)));
   std::vector<std::pair<ptk::model::ObjectId, ptk::model::ObjectId>> pairs;
   for (int i = 0; i < 64; ++i) {
     const ptk::model::ObjectId a = (i * 7) % db.num_objects();
@@ -231,12 +228,12 @@ void BM_PairTablesBatch(benchmark::State& state) {
     pairs.emplace_back(std::min(a, b), std::max(a, b));
   }
   for (auto _ : state) {
-    std::vector<ptk::rank::MembershipCalculator::PairTables> tables;
-    calc.ComputePairTablesBatch(pairs, parallel, &tables);
-    benchmark::DoNotOptimize(tables);
+    for (const auto& [a, b] : pairs) {
+      benchmark::DoNotOptimize(calc.ComputePairTables(a, b));
+    }
   }
 }
-BENCHMARK(BM_PairTablesBatch)->ArgName("threads")->Arg(1)->Arg(8);
+BENCHMARK(BM_PairTablesBatch);
 
 // --------------------------------------------------------------------------
 // simd kernel benchmarks (DESIGN.md §4.12): each runs once pinned to the

@@ -21,7 +21,8 @@ pbtree::PBTree::Options TreeOptions(const SelectorOptions& options) {
 struct BoundSelectorMetrics {
   obs::Counter* pairs_evaluated;
   obs::Counter* prunes;
-  obs::Counter* overshoot;
+  obs::Counter* node_pairs_expanded;
+  obs::Counter* object_pairs_scored;
   obs::Histogram* ei_sweep_seconds;
 
   static const BoundSelectorMetrics& Get() {
@@ -30,13 +31,24 @@ struct BoundSelectorMetrics {
                         "Candidate pairs whose EI was computed"),
         obs::GetCounter("ptk_selector_delta_prunes_total",
                         "Candidate pairs skipped by the Δ-bound threshold"),
-        obs::GetCounter(
-            "ptk_selector_speculative_overshoot_total",
-            "Pairs evaluated speculatively that the serial rule rejects"),
+        obs::GetCounter("ptk_selector_node_pairs_expanded_total",
+                        "PB-tree node pairs the pair stream expanded"),
+        obs::GetCounter("ptk_selector_object_pairs_scored_total",
+                        "Object pairs the pair stream scored by H(A(P_1))"),
         obs::GetHistogram("ptk_selector_ei_sweep_seconds",
-                          "Latency of one sharded Δ-bound batch evaluation"),
+                          "Latency of one EI evaluation step: one pair's Δ "
+                          "bounds (PBTREE/OPT), one exact sweep (BF)"),
     };
     return metrics;
+  }
+};
+
+// Selection order: larger estimate first, equal estimates by ascending
+// (a, b), so tied picks come out the same whatever the heap's history.
+struct RanksBefore {
+  bool operator()(const ScoredPair& x, const ScoredPair& y) const {
+    if (x.ei_estimate != y.ei_estimate) return x.ei_estimate > y.ei_estimate;
+    return std::pair(x.a, x.b) < std::pair(y.a, y.b);
   }
 };
 
@@ -71,92 +83,43 @@ util::Status BoundSelector::SelectPairs(int t, std::vector<ScoredPair>* out) {
   const pbtree::TreeReader::Pinned pinned = tree_->Pin();
   pbtree::PairStream stream(pinned.root, scorer);
 
-  // Min-heap of the best t estimates found so far.
-  const auto worse = [](const ScoredPair& a, const ScoredPair& b) {
-    return a.ei_estimate > b.ei_estimate;
-  };
-  std::priority_queue<ScoredPair, std::vector<ScoredPair>, decltype(worse)>
-      best(worse);
+  // The best t estimates so far, the one ranked last on top.
+  std::priority_queue<ScoredPair, std::vector<ScoredPair>, RanksBefore> best;
   double threshold = -1.0;  // t-th best EI estimate once `best` is full
 
-  // With one shard the batch degenerates to a single pair and the loop
-  // below is exactly Algorithm 1. With more shards, each batch speculates
-  // against the threshold as of the batch start; since the threshold only
-  // rises, the speculative set is a superset of the pairs the serial run
-  // evaluates, and the merge re-applies the serial rule pair by pair in
-  // pop order — the selected set is bit-identical, only pairs_evaluated
-  // can overshoot.
-  const int shards = options_.parallel.Shards();
-  const size_t batch_size = shards <= 1 ? 1 : static_cast<size_t>(2 * shards);
-  std::vector<pbtree::ScoredObjectPair> batch;
-  std::vector<std::pair<model::ObjectId, model::ObjectId>> batch_pairs;
-
+  // Algorithm 1, one candidate at a time. pair->score is H(A(P_1)), an
+  // upper bound of the pair's EI.
   for (;;) {
     if (util::CancelRequested(options_.cancel)) {
       return util::Status::Cancelled(name() + " selection cancelled");
     }
-    // Pop phase: collect candidates that could still enter the top t under
-    // the current threshold (Algorithm 1 line 5). pair->score is
-    // H(A(P_1)), an upper bound of the pair's EI.
-    batch.clear();
-    bool exhausted = false;
-    while (batch.size() < batch_size) {
-      const bool full = static_cast<int>(best.size()) >= t;
-      // Algorithm 1 line 8: nothing left can beat the t-th best.
-      if (full && stream.RemainingUpperBound() <= threshold) {
-        exhausted = true;
-        break;
-      }
-      const auto pair = stream.Next();
-      if (!pair) {
-        exhausted = true;
-        break;
-      }
-      if (full && pair->score <= threshold) {
-        metrics.prunes->Add();
-        continue;
-      }
-      batch.push_back(*pair);
+    const bool full = static_cast<int>(best.size()) >= t;
+    // Algorithm 1 line 8: nothing left can beat the t-th best.
+    if (full && stream.RemainingUpperBound() <= threshold) break;
+    const auto pair = stream.Next();
+    if (!pair) break;
+    // Algorithm 1 line 5.
+    if (full && pair->score <= threshold) {
+      metrics.prunes->Add();
+      continue;
     }
-    if (batch.empty()) break;
-
-    // Evaluate phase: Δ bounds for the whole batch, sharded.
-    std::vector<EIEstimate> estimates;
+    EIEstimate est;
     {
       obs::ScopedTimer sweep_timer(metrics.ei_sweep_seconds);
-      if (batch.size() == 1) {
-        estimates.push_back(estimator_.Estimate(batch[0].a, batch[0].b));
-      } else {
-        batch_pairs.clear();
-        for (const pbtree::ScoredObjectPair& p : batch) {
-          batch_pairs.emplace_back(p.a, p.b);
-        }
-        estimates = estimator_.EstimateBatch(batch_pairs, options_.parallel);
-      }
+      est = estimator_.Estimate(pair->a, pair->b);
     }
-    stats_.pairs_evaluated += static_cast<int64_t>(batch.size());
-    metrics.pairs_evaluated->Add(static_cast<int64_t>(batch.size()));
-
-    // Merge phase: replay the serial acceptance rule in pop order.
-    for (size_t i = 0; i < batch.size(); ++i) {
-      const bool full = static_cast<int>(best.size()) >= t;
-      if (!full || batch[i].score > threshold) {
-        const EIEstimate& est = estimates[i];
-        best.push(ScoredPair{batch[i].a, batch[i].b, est.estimate(),
-                             est.lower(), est.upper()});
-        if (static_cast<int>(best.size()) > t) best.pop();
-      } else {
-        // Evaluated only because the batch speculated past the threshold
-        // the serial run would have stopped at.
-        metrics.overshoot->Add();
-      }
-      if (static_cast<int>(best.size()) >= t) {
-        threshold = best.top().ei_estimate;
-      }
+    ++stats_.pairs_evaluated;
+    metrics.pairs_evaluated->Add();
+    best.push(ScoredPair{pair->a, pair->b, est.estimate(), est.lower(),
+                         est.upper()});
+    if (static_cast<int>(best.size()) > t) best.pop();
+    if (static_cast<int>(best.size()) >= t) {
+      threshold = best.top().ei_estimate;
     }
-    if (exhausted) break;
   }
   stats_.stream = stream.stats();
+  metrics.node_pairs_expanded->Add(stats_.stream.node_pairs_expanded);
+  metrics.object_pairs_scored->Add(stats_.stream.object_pairs_scored);
 
   std::vector<ScoredPair> selected;
   selected.reserve(best.size());

@@ -22,12 +22,11 @@ namespace ptk::core {
 /// kBasic is the paper's PBTREE (node pairs ranked by Ĥ, Eq. 16); kOptimized
 /// is OPT (node pairs ranked by ÊI, Eq. 18, Section 4.4).
 ///
-/// With options.parallel resolving to more than one shard, candidate pairs
-/// are popped from the stream in speculative batches whose Δ bounds are
-/// evaluated in parallel, then merged in pop order under Algorithm 1's
-/// exact threshold rule — so the selected pairs are bit-identical to the
-/// serial run; the only difference is that pairs_evaluated may overshoot
-/// by the batch tail (observable in Stats).
+/// Δ bounds are evaluated inline, one popped pair at a time, on the
+/// calling thread: OPT evaluates a few dozen pairs per selection, fewer
+/// than a thread-pool round trip would pay for, so options.parallel is
+/// not used. Pairs come out by descending estimate, equal estimates by
+/// ascending (a, b).
 class BoundSelector : public PairSelector {
  public:
   enum class Mode { kBasic, kOptimized };
@@ -42,7 +41,7 @@ class BoundSelector : public PairSelector {
 
   /// Counters from the most recent SelectPairs call (Figs. 12-13).
   struct Stats {
-    int64_t pairs_evaluated = 0;  // Δ-bound computations (incl. overshoot)
+    int64_t pairs_evaluated = 0;  // Δ-bound computations
     pbtree::PairStream::Stats stream;
   };
   const Stats& stats() const { return stats_; }

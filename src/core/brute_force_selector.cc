@@ -20,7 +20,8 @@ util::Status BruteForceSelector::SelectPairs(int t,
                       "Candidate pairs whose EI was computed");
   static obs::Histogram* const sweep_seconds =
       obs::GetHistogram("ptk_selector_ei_sweep_seconds",
-                        "Latency of one sharded Δ-bound batch evaluation");
+                        "Latency of one EI evaluation step: one pair's Δ "
+                        "bounds (PBTREE/OPT), one exact sweep (BF)");
   obs::Span span("BruteForceSelector::SelectPairs");
   obs::ScopedTimer sweep_timer(sweep_seconds);
   const int m = db_->num_objects();

@@ -81,28 +81,8 @@ DeltaBounds SweepBounds(SweepData& d) {
 
 DeltaBounds DeltaEstimator::Estimate(model::ObjectId o1,
                                      model::ObjectId o2) const {
-  return EstimateFromTables(o1, o2, membership_->ComputePairTables(o1, o2));
-}
-
-std::vector<DeltaBounds> DeltaEstimator::EstimateBatch(
-    std::span<const std::pair<model::ObjectId, model::ObjectId>> pairs,
-    const util::ParallelConfig& parallel) const {
-  std::vector<rank::MembershipCalculator::PairTables> tables;
-  membership_->ComputePairTablesBatch(pairs, parallel, &tables);
-  std::vector<DeltaBounds> out(pairs.size());
-  util::ParallelFor(parallel, static_cast<int64_t>(pairs.size()),
-                    [&](int /*shard*/, int64_t begin, int64_t end) {
-                      for (int64_t i = begin; i < end; ++i) {
-                        out[i] = EstimateFromTables(
-                            pairs[i].first, pairs[i].second, tables[i]);
-                      }
-                    });
-  return out;
-}
-
-DeltaBounds DeltaEstimator::EstimateFromTables(
-    model::ObjectId o1, model::ObjectId o2,
-    const rank::MembershipCalculator::PairTables& tables) const {
+  const rank::MembershipCalculator::PairTables tables =
+      membership_->ComputePairTables(o1, o2);
   const auto& obj1 = db_->object(o1);
   const auto& obj2 = db_->object(o2);
   const int n1 = obj1.num_instances();

@@ -1,14 +1,9 @@
 #ifndef PTK_CORE_DELTA_BOUNDS_H_
 #define PTK_CORE_DELTA_BOUNDS_H_
 
-#include <span>
-#include <utility>
-#include <vector>
-
 #include "model/database.h"
 #include "pw/topk_distribution.h"
 #include "rank/membership.h"
-#include "util/thread_pool.h"
 
 namespace ptk::core {
 
@@ -37,18 +32,7 @@ class DeltaEstimator {
 
   DeltaBounds Estimate(model::ObjectId o1, model::ObjectId o2) const;
 
-  /// Batched form: bounds for every pair in `pairs`, computed over the
-  /// membership calculator's batched table entry point and sharded across
-  /// `parallel`. out[i] is bit-identical to Estimate(pairs[i]).
-  std::vector<DeltaBounds> EstimateBatch(
-      std::span<const std::pair<model::ObjectId, model::ObjectId>> pairs,
-      const util::ParallelConfig& parallel) const;
-
  private:
-  DeltaBounds EstimateFromTables(
-      model::ObjectId o1, model::ObjectId o2,
-      const rank::MembershipCalculator::PairTables& tables) const;
-
   const model::Database* db_;
   const rank::MembershipCalculator* membership_;
   pw::OrderMode order_;

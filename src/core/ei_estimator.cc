@@ -14,18 +14,4 @@ EIEstimate EIEstimator::Estimate(model::ObjectId o1,
   return out;
 }
 
-std::vector<EIEstimate> EIEstimator::EstimateBatch(
-    std::span<const std::pair<model::ObjectId, model::ObjectId>> pairs,
-    const util::ParallelConfig& parallel) const {
-  const std::vector<DeltaBounds> deltas = delta_.EstimateBatch(pairs, parallel);
-  std::vector<EIEstimate> out(pairs.size());
-  for (size_t i = 0; i < pairs.size(); ++i) {
-    const double p = rank::ProbGreater(db_->object(pairs[i].first),
-                                       db_->object(pairs[i].second));
-    out[i].h_pair = util::BinaryEntropy(p);
-    out[i].delta = deltas[i];
-  }
-  return out;
-}
-
 }  // namespace ptk::core

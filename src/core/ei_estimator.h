@@ -32,13 +32,6 @@ class EIEstimator {
 
   EIEstimate Estimate(model::ObjectId o1, model::ObjectId o2) const;
 
-  /// Batched form used by the parallel selectors: out[i] is bit-identical
-  /// to Estimate(pairs[i]), with the Δ-bound work sharded across
-  /// `parallel`.
-  std::vector<EIEstimate> EstimateBatch(
-      std::span<const std::pair<model::ObjectId, model::ObjectId>> pairs,
-      const util::ParallelConfig& parallel) const;
-
  private:
   const model::Database* db_;
   DeltaEstimator delta_;

@@ -43,8 +43,9 @@ struct SelectorOptions {
   /// HRS2 greedily combines pairs from a candidate pool of this size.
   int candidate_pool = 64;
 
-  /// Shard count / pool for the parallel hot paths. Selector output is
-  /// bit-identical for every setting (see DESIGN.md, "Parallel execution").
+  /// Shard count / pool for BF's exact EI sweep (PBTREE and OPT evaluate
+  /// inline and ignore it). Selector output is bit-identical for every
+  /// setting (see DESIGN.md, "Parallel execution").
   util::ParallelConfig parallel;
 
   /// Cooperative cancellation token (util::CancelSource::token()), polled

@@ -43,18 +43,30 @@ double EIScorer::NodePairUpper(const Node& n1, const Node& n2) const {
   // smallest instances (sources of the smallest lbo instances). Their sum
   // lower-bounds the probability that the comparison outcome cannot change
   // the (order-insensitive) result, hence the Eq. 18 tightening.
+  const bool insensitive = order_ == pw::OrderMode::kInsensitive;
   double both = 0.0;
-  if (order_ == pw::OrderMode::kInsensitive) {
-    both = membership_
-               ->ConditionalPairMembership(n1.ubo.LargestSource(),
-                                           n2.ubo.LargestSource())
-               .both;
+  double neither = 0.0;
+  if (&n1 == &n2) {
+    // A diagonal pair's extreme sources may be one object, which the
+    // per-instance conditionals cannot exclude twice; bound the node's
+    // whole value span instead.
+    const rank::MembershipCalculator::PairConditionals span =
+        membership_->SpanPairMembership(n1.lbo.instances().front().value,
+                                        n1.ubo.instances().back().value);
+    if (insensitive) both = span.both;
+    neither = span.neither;
+  } else {
+    if (insensitive) {
+      both = membership_
+                 ->ConditionalPairMembership(n1.ubo.LargestSource(),
+                                             n2.ubo.LargestSource())
+                 .both;
+    }
+    neither = membership_
+                  ->ConditionalPairMembership(n1.lbo.SmallestSource(),
+                                              n2.lbo.SmallestSource())
+                  .neither;
   }
-  const double neither =
-      membership_
-          ->ConditionalPairMembership(n1.lbo.SmallestSource(),
-                                      n2.lbo.SmallestSource())
-          .neither;
   const double factor = std::max(0.0, 1.0 - both - neither);
   // Small additive slack guards the pruning against the floating-point
   // error of the membership scan.

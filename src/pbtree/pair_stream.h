@@ -47,7 +47,8 @@ class HEntropyScorer : public PairScorer {
 /// probability that the comparison cannot affect the top-k result —
 /// both objects surely in it (order-insensitive only) or surely out of it —
 /// estimated at the extreme bound-instance sources via the membership
-/// calculator.
+/// calculator, or for a diagonal pair (n, n) over n's whole value span
+/// (MembershipCalculator::SpanPairMembership).
 class EIScorer : public PairScorer {
  public:
   EIScorer(const model::Database& db,

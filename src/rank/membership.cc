@@ -248,23 +248,6 @@ MembershipCalculator::PairTables MembershipCalculator::ComputePairTables(
   return tables;
 }
 
-void MembershipCalculator::ComputePairTablesBatch(
-    std::span<const std::pair<model::ObjectId, model::ObjectId>> pairs,
-    const util::ParallelConfig& parallel,
-    std::vector<PairTables>* out) const {
-  out->clear();
-  out->resize(pairs.size());
-  // Pair scans read only the immutable prefix masses, so each shard's only
-  // writes are its own output slots.
-  util::ParallelFor(parallel, static_cast<int64_t>(pairs.size()),
-                    [&](int /*shard*/, int64_t begin, int64_t end) {
-                      for (int64_t i = begin; i < end; ++i) {
-                        (*out)[i] = ComputePairTables(pairs[i].first,
-                                                      pairs[i].second);
-                      }
-                    });
-}
-
 MembershipCalculator::PairConditionals
 MembershipCalculator::ConditionalPairMembership(model::InstanceRef a,
                                                 model::InstanceRef b) const {
@@ -287,6 +270,33 @@ MembershipCalculator::ConditionalPairMembership(model::InstanceRef a,
   PairConditionals out;
   out.both = at_hi.ple_km2;
   out.neither = 1.0 - at_lo.ple_km1;
+  return out;
+}
+
+MembershipCalculator::PairConditionals
+MembershipCalculator::SpanPairMembership(double lo_value,
+                                         double hi_value) const {
+  assert(lo_value <= hi_value);
+  const auto& sorted = index_db().sorted_instances();
+  const auto below = [](const model::Instance& i, double v) {
+    return i.value < v;
+  };
+  const auto above = [](double v, const model::Instance& i) {
+    return v < i.value;
+  };
+  const auto first =
+      std::lower_bound(sorted.begin(), sorted.end(), lo_value, below);
+  const auto past_last =
+      std::upper_bound(first, sorted.end(), hi_value, above);
+  assert(first < past_last);
+  std::vector<PositionQuery> queries{
+      {static_cast<model::Position>(first - sorted.begin()), 0.0, 0.0},
+      {static_cast<model::Position>(past_last - sorted.begin()) - 1, 0.0,
+       0.0}};
+  ScanPositions({}, queries);
+  PairConditionals out;
+  out.both = queries[1].ple_km2;
+  out.neither = 1.0 - queries[0].ple_km1;
   return out;
 }
 

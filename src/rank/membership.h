@@ -7,12 +7,10 @@
 #include <mutex>
 #include <span>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "model/database.h"
 #include "model/instance.h"
-#include "util/thread_pool.h"
 
 namespace ptk::rank {
 
@@ -142,15 +140,6 @@ class MembershipCalculator {
   };
   PairTables ComputePairTables(model::ObjectId o1, model::ObjectId o2) const;
 
-  /// Batched entry point used by the selectors: computes the joint tables
-  /// of every pair in `pairs`, sharded across `parallel`. out->at(i) holds
-  /// the tables of pairs[i]; results are identical to calling
-  /// ComputePairTables per pair (each pair's scan is independent).
-  void ComputePairTablesBatch(
-      std::span<const std::pair<model::ObjectId, model::ObjectId>> pairs,
-      const util::ParallelConfig& parallel,
-      std::vector<PairTables>* out) const;
-
   /// Normalized conditionals for the Eq. 18 node-pair bound:
   /// both    = Pr(both objects in top-k | both instances chosen)
   /// neither = Pr(neither object in top-k | both instances chosen)
@@ -162,6 +151,19 @@ class MembershipCalculator {
   };
   PairConditionals ConditionalPairMembership(model::InstanceRef a,
                                              model::InstanceRef b) const;
+
+  /// Lower bounds of the same conditionals for *any* two distinct objects
+  /// whose instances with mass all have values in [lo_value, hi_value] —
+  /// the diagonal node pair (n, n), where both extreme bound sources can
+  /// belong to one object. One scan with no exclusions answers both:
+  /// `neither` at the first sorted position with value >= lo_value,
+  /// `both` at the last sorted position with value <= hi_value. Positions,
+  /// not instances, because tied values put other objects' instances on
+  /// either side of any one source. Admissible pathwise: leaving the pair
+  /// in the count can only raise the number of objects ranked above a
+  /// point, that number only grows with position, and neither object has
+  /// mass before the first position, so there the two counts agree.
+  PairConditionals SpanPairMembership(double lo_value, double hi_value) const;
 
   /// Forces the lazily-built singles table and returns it (flat, one slot
   /// per (oid, iid) plus the per-object sentinel, parallel to the prefix

@@ -6,7 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdlib>
 #include <functional>
+#include <utility>
+#include <vector>
 
 #include "core/quality.h"
 #include "pbtree/pair_stream.h"
@@ -27,46 +31,93 @@ void ObjectsUnder(const pbtree::Node* node,
   for (const pbtree::Node* child : node->children) ObjectsUnder(child, out);
 }
 
-class EIScorerSweep : public ::testing::TestWithParam<uint64_t> {};
+// Like testing::RandomDb, but values come from {0, ..., 5}: instances of
+// several objects share values, so a node's extreme value is also held
+// by objects under it that sort before or after its bound source.
+model::Database TiedDb(int m, uint64_t seed) {
+  util::Rng rng(seed);
+  model::Database db;
+  for (int o = 0; o < m; ++o) {
+    const int count = static_cast<int>(rng.UniformInt(1, 3));
+    std::vector<std::pair<double, double>> pairs;
+    double total = 0.0;
+    while (static_cast<int>(pairs.size()) < count) {
+      const double v = static_cast<double>(rng.UniformInt(0, 5));
+      bool fresh = true;
+      for (const auto& p : pairs) fresh &= (p.first != v);
+      if (!fresh) continue;
+      const double w = rng.Uniform(0.05, 1.0);
+      pairs.emplace_back(v, w);
+      total += w;
+    }
+    for (auto& p : pairs) p.second /= total;
+    db.AddObject(std::move(pairs));
+  }
+  if (!db.Finalize().ok()) std::abort();
+  return db;
+}
 
-TEST_P(EIScorerSweep, NodePairUpperBoundsExactEI) {
-  const model::Database db = testing::RandomDb(9, 3, GetParam());
-  const int k = 3;
+// Checks the bound of every same-level node pair, self pairs (n, n)
+// included, against the exact EI of every object pair underneath, in both
+// order modes; with `self_pairs_only`, of the self pairs alone.
+void ExpectNodePairsAdmissible(const model::Database& db, int k,
+                               bool self_pairs_only) {
   pbtree::PBTree::Options topts;
   topts.fanout = 3;
   const pbtree::PBTree tree(db, topts);
   rank::MembershipCalculator membership(db, k);
-  const pbtree::EIScorer scorer(db, membership, pw::OrderMode::kInsensitive);
-  const core::QualityEvaluator evaluator(db, k, pw::OrderMode::kInsensitive);
-
-  // Walk every node pair at the same level and check the bound.
-  std::vector<const pbtree::Node*> level = {tree.root()};
-  while (!level.empty()) {
-    for (const pbtree::Node* n1 : level) {
-      for (const pbtree::Node* n2 : level) {
-        const double upper = scorer.NodePairUpper(*n1, *n2);
-        std::vector<model::ObjectId> under1, under2;
-        ObjectsUnder(n1, &under1);
-        ObjectsUnder(n2, &under2);
-        for (model::ObjectId a : under1) {
-          for (model::ObjectId b : under2) {
-            if (a == b) continue;
-            double ei = 0.0;
-            ASSERT_TRUE(
-                evaluator.ExactExpectedImprovement(a, b, nullptr, &ei).ok());
-            EXPECT_GE(upper + 1e-6, ei)
-                << "seed=" << GetParam() << " pair=(" << a << "," << b
-                << ")";
+  for (const pw::OrderMode order :
+       {pw::OrderMode::kInsensitive, pw::OrderMode::kSensitive}) {
+    const pbtree::EIScorer scorer(db, membership, order);
+    const core::QualityEvaluator evaluator(db, k, order);
+    std::vector<const pbtree::Node*> level = {tree.root()};
+    while (!level.empty()) {
+      for (const pbtree::Node* n1 : level) {
+        for (const pbtree::Node* n2 : level) {
+          if (self_pairs_only && n1 != n2) continue;
+          const double upper = scorer.NodePairUpper(*n1, *n2);
+          std::vector<model::ObjectId> under1, under2;
+          ObjectsUnder(n1, &under1);
+          ObjectsUnder(n2, &under2);
+          for (model::ObjectId a : under1) {
+            for (model::ObjectId b : under2) {
+              if (a == b) continue;
+              double ei = 0.0;
+              ASSERT_TRUE(
+                  evaluator.ExactExpectedImprovement(a, b, nullptr, &ei)
+                      .ok());
+              EXPECT_GE(upper + 1e-6, ei)
+                  << "order=" << static_cast<int>(order) << " pair=(" << a
+                  << "," << b << ")";
+            }
           }
         }
       }
+      std::vector<const pbtree::Node*> next;
+      for (const pbtree::Node* n : level) {
+        for (const pbtree::Node* child : n->children) next.push_back(child);
+      }
+      level = std::move(next);
     }
-    std::vector<const pbtree::Node*> next;
-    for (const pbtree::Node* n : level) {
-      for (const pbtree::Node* child : n->children) next.push_back(child);
-    }
-    level = std::move(next);
   }
+}
+
+class EIScorerSweep : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(EIScorerSweep, NodePairUpperBoundsExactEI) {
+  SCOPED_TRACE(GetParam());
+  ExpectNodePairsAdmissible(testing::RandomDb(9, 3, GetParam()), 3,
+                            /*self_pairs_only=*/false);
+  // Distinct node pairs read the Eq. 18 conditionals at their bound
+  // sources, which ties can place after another object's instance of the
+  // same value, so that bound is not admissible on tied values (seed 1:
+  // 0.129 against an exact EI of 0.480). Self pairs read positions: the
+  // k = 2 input exercises ties at a node's smallest value ("neither"),
+  // the k = 4 input ties at its largest value ("both").
+  ExpectNodePairsAdmissible(TiedDb(9, GetParam()), 2,
+                            /*self_pairs_only=*/true);
+  ExpectNodePairsAdmissible(TiedDb(9, GetParam() + 10), 4,
+                            /*self_pairs_only=*/true);
 }
 
 TEST_P(EIScorerSweep, OrderSensitiveVariantAlsoAdmissible) {
@@ -117,9 +168,7 @@ TEST(EIScorer, TighterThanPlainH) {
   const pbtree::HEntropyScorer h_scorer(db);
   const pbtree::EIScorer ei_scorer(db, membership,
                                    pw::OrderMode::kInsensitive);
-  // Self pairs (n, n) share bound sources and degenerate to Ĥ, so the
-  // tightening is visible on pairs of distinct nodes: compare all sibling
-  // pairs level by level.
+  // Pairs of distinct nodes: compare all sibling pairs level by level.
   int strictly_tighter = 0;
   std::function<void(const pbtree::Node*)> walk =
       [&](const pbtree::Node* n) {
@@ -138,6 +187,17 @@ TEST(EIScorer, TighterThanPlainH) {
   walk(tree.root());
   EXPECT_GT(strictly_tighter, 0)
       << "Eq. 18 should prune at least some node pairs harder than Eq. 16";
+
+  // The self pair of the last leaf: all its objects sit in the tail, so
+  // four head objects certainly outrank both of any pair under it and the
+  // diagonal bound drops to the additive slack, although the Theorem 1
+  // interval alone still allows a coin flip.
+  const pbtree::Node* tail = tree.root();
+  while (!tail->leaf) tail = tail->children.back();
+  ASSERT_GE(tail->objects.size(), 2u);
+  for (model::ObjectId oid : tail->objects) ASSERT_GE(oid, 4);
+  EXPECT_NEAR(h_scorer.NodePairUpper(*tail, *tail), std::log(2.0), 1e-3);
+  EXPECT_LE(ei_scorer.NodePairUpper(*tail, *tail), 1e-9 + 1e-15);
 }
 
 }  // namespace

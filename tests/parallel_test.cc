@@ -1,13 +1,16 @@
 // Tests for the parallel execution layer (src/util/thread_pool.h) and its
 // determinism contract: the selectors return bit-identical ScoredPair lists
-// for every shard count, and the sharded WorldSampler is reproducible at a
-// fixed (seed, shard count). These tests drive an explicit 8-thread pool so
-// the parallel code paths run with real concurrency even when the global
-// pool resolves to a single thread (e.g. PTK_THREADS=1 or a 1-core host),
-// and so a TSan build (cmake -DPTK_SANITIZE=thread) exercises them.
+// for every shard count, a membership calculator shared across threads
+// answers as it does serially, and the sharded WorldSampler is
+// reproducible at a fixed (seed, shard count). These tests drive an
+// explicit 8-thread pool so the parallel code paths run with real
+// concurrency even when the global pool resolves to a single thread (e.g.
+// PTK_THREADS=1 or a 1-core host), and so a TSan build
+// (cmake -DPTK_SANITIZE=thread) exercises them.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <utility>
@@ -146,6 +149,8 @@ TEST_P(ParallelEquivalence, BruteForceMatchesSerial) {
 }
 
 TEST_P(ParallelEquivalence, BoundSelectorsMatchSerial) {
+  // PBTREE and OPT evaluate inline and ignore options.parallel: a pool
+  // must change neither their picks nor the work they do.
   const model::Database db = testing::RandomDb(14, 3, GetParam() + 900);
   util::ThreadPool pool(8);
   core::SelectorOptions serial_opts;
@@ -163,8 +168,7 @@ TEST_P(ParallelEquivalence, BoundSelectorsMatchSerial) {
     ASSERT_TRUE(serial.SelectPairs(3, &serial_out).ok());
     ASSERT_TRUE(parallel.SelectPairs(3, &parallel_out).ok());
     ExpectSamePairs(serial_out, parallel_out, serial.name().c_str());
-    // Speculative batching may evaluate extra pairs but never fewer.
-    EXPECT_GE(parallel.stats().pairs_evaluated,
+    EXPECT_EQ(parallel.stats().pairs_evaluated,
               serial.stats().pairs_evaluated)
         << serial.name();
   }
@@ -241,6 +245,9 @@ TEST(ParallelSamplerTest, ShardCountsAgreeStatistically) {
 }
 
 TEST(ParallelMembershipTest, BatchMatchesPerPairTables) {
+  // One calculator shared by concurrent selections (the serving runtime's
+  // sessions share the base calculator): a batch of pair-table and
+  // node-span queries run from 8 threads must match the serial answers.
   const model::Database db = testing::RandomDb(16, 3, 33);
   const rank::MembershipCalculator calc(db, 4);
   util::ThreadPool pool(8);
@@ -251,14 +258,31 @@ TEST(ParallelMembershipTest, BatchMatchesPerPairTables) {
       pairs.emplace_back(a, b);
     }
   }
-  std::vector<rank::MembershipCalculator::PairTables> batch;
-  calc.ComputePairTablesBatch(pairs, WithShards(&pool, 8), &batch);
-  ASSERT_EQ(batch.size(), pairs.size());
-  for (size_t i = 0; i < pairs.size(); ++i) {
+  const auto span_of = [&db](const std::pair<model::ObjectId,
+                                             model::ObjectId>& pair) {
+    const model::UncertainObject& lo = db.object(pair.first);
+    const model::UncertainObject& hi = db.object(pair.second);
+    return std::pair(
+        std::min(lo.instances().front().value, hi.instances().front().value),
+        std::max(lo.instances().back().value, hi.instances().back().value));
+  };
+  const int n = static_cast<int>(pairs.size());
+  std::vector<rank::MembershipCalculator::PairTables> tables(n);
+  std::vector<rank::MembershipCalculator::PairConditionals> spans(n);
+  pool.Run(n, [&](int i) {
+    tables[i] = calc.ComputePairTables(pairs[i].first, pairs[i].second);
+    const auto [lo, hi] = span_of(pairs[i]);
+    spans[i] = calc.SpanPairMembership(lo, hi);
+  });
+  for (int i = 0; i < n; ++i) {
     const auto single =
         calc.ComputePairTables(pairs[i].first, pairs[i].second);
-    ASSERT_EQ(batch[i].pt, single.pt) << "pair " << i;
-    ASSERT_EQ(batch[i].npt, single.npt) << "pair " << i;
+    ASSERT_EQ(tables[i].pt, single.pt) << "pair " << i;
+    ASSERT_EQ(tables[i].npt, single.npt) << "pair " << i;
+    const auto [lo, hi] = span_of(pairs[i]);
+    const auto span = calc.SpanPairMembership(lo, hi);
+    ASSERT_EQ(spans[i].both, span.both) << "pair " << i;
+    ASSERT_EQ(spans[i].neither, span.neither) << "pair " << i;
   }
 }
 

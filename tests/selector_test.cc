@@ -1,11 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <set>
+#include <utility>
 
 #include "core/bound_selector.h"
 #include "core/brute_force_selector.h"
+#include "core/ei_estimator.h"
 #include "core/quality.h"
 #include "core/random_selector.h"
+#include "data/synthetic.h"
+#include "engine/ranking_engine.h"
 #include "test_util.h"
 
 namespace ptk {
@@ -83,23 +89,126 @@ TEST_P(SelectorSweep, BasicAndOptimizedAgree) {
 INSTANTIATE_TEST_SUITE_P(RandomDatabases, SelectorSweep,
                          ::testing::Range(uint64_t{0}, uint64_t{8}));
 
+// Selection order: descending estimate, equal estimates by ascending
+// (a, b).
+bool RanksBefore(const core::ScoredPair& x, const core::ScoredPair& y) {
+  if (x.ei_estimate != y.ei_estimate) return x.ei_estimate > y.ei_estimate;
+  return std::pair(x.a, x.b) < std::pair(y.a, y.b);
+}
+
 TEST(BoundSelector, TopTSelection) {
-  const model::Database db = testing::RandomDb(12, 3, 77);
-  const core::SelectorOptions opts = SmallOptions(3);
-  core::BoundSelector selector(db, opts,
-                               core::BoundSelector::Mode::kOptimized);
-  std::vector<core::ScoredPair> top5;
-  ASSERT_TRUE(selector.SelectPairs(5, &top5).ok());
-  ASSERT_EQ(top5.size(), 5u);
-  for (size_t i = 1; i < top5.size(); ++i) {
-    EXPECT_GE(top5[i - 1].ei_estimate, top5[i].ei_estimate);
+  struct Input {
+    uint64_t seed;
+    int m, k, t;
+  };
+  // Seed 999 has three picks with bitwise-equal estimates; their order
+  // must not depend on the heap's history.
+  for (const Input& in : {Input{77, 12, 3, 5}, Input{999, 14, 4, 3}}) {
+    const model::Database db = testing::RandomDb(in.m, 3, in.seed);
+    const core::SelectorOptions opts = SmallOptions(in.k);
+    for (const auto mode : {core::BoundSelector::Mode::kOptimized,
+                            core::BoundSelector::Mode::kBasic}) {
+      core::BoundSelector selector(db, opts, mode);
+      std::vector<core::ScoredPair> top;
+      ASSERT_TRUE(selector.SelectPairs(in.t, &top).ok());
+      ASSERT_EQ(top.size(), static_cast<size_t>(in.t));
+      for (size_t i = 1; i < top.size(); ++i) {
+        EXPECT_TRUE(RanksBefore(top[i - 1], top[i]))
+            << selector.name() << " seed " << in.seed << " rank " << i;
+      }
+      std::set<std::pair<model::ObjectId, model::ObjectId>> unique;
+      for (const auto& p : top) {
+        EXPECT_NE(p.a, p.b);
+        unique.insert(std::minmax(p.a, p.b));
+      }
+      EXPECT_EQ(unique.size(), static_cast<size_t>(in.t));
+    }
   }
-  std::set<std::pair<model::ObjectId, model::ObjectId>> unique;
-  for (const auto& p : top5) {
-    EXPECT_NE(p.a, p.b);
-    unique.insert(std::minmax(p.a, p.b));
+}
+
+// The best t pairs of db by an exhaustive EIEstimator scan.
+std::vector<core::ScoredPair> ExhaustiveTop(
+    const model::Database& db, const rank::MembershipCalculator& membership,
+    int t) {
+  const core::EIEstimator estimator(db, membership,
+                                    pw::OrderMode::kInsensitive);
+  std::vector<core::ScoredPair> all;
+  for (model::ObjectId a = 0; a < db.num_objects(); ++a) {
+    for (model::ObjectId b = a + 1; b < db.num_objects(); ++b) {
+      const core::EIEstimate est = estimator.Estimate(a, b);
+      all.push_back({a, b, est.estimate(), est.lower(), est.upper()});
+    }
   }
-  EXPECT_EQ(unique.size(), 5u);
+  std::partial_sort(all.begin(), all.begin() + t, all.end(), RanksBefore);
+  all.resize(t);
+  return all;
+}
+
+// Same estimates, and the same pairs wherever the estimate is above the
+// cut (equal estimates at the cut may resolve to different pairs). The
+// scan evaluates every pair as (a < b) while the stream may emit (b, a);
+// the Δ sweep's summation order follows the orientation, so estimates
+// agree to rounding, not bitwise.
+void ExpectSameTop(const std::vector<core::ScoredPair>& selected,
+                   const std::vector<core::ScoredPair>& exhaustive) {
+  constexpr double kRounding = 1e-12;
+  ASSERT_EQ(selected.size(), exhaustive.size());
+  const double cut = exhaustive.back().ei_estimate;
+  std::set<std::pair<model::ObjectId, model::ObjectId>> want, got;
+  for (size_t i = 0; i < selected.size(); ++i) {
+    EXPECT_NEAR(selected[i].ei_estimate, exhaustive[i].ei_estimate,
+                kRounding)
+        << "rank " << i;
+    if (exhaustive[i].ei_estimate > cut + kRounding) {
+      want.insert(std::minmax(exhaustive[i].a, exhaustive[i].b));
+      got.insert(std::minmax(selected[i].a, selected[i].b));
+    }
+  }
+  EXPECT_EQ(got, want);
+}
+
+TEST(BoundSelector, OptCostFollowsTheContestedHead) {
+  // A SYN catalog much longer than its contested head: OPT must evaluate
+  // a few dozen pairs, not a share of the catalog, and still find what an
+  // exhaustive scan finds — on the base artifacts and, after a round of
+  // working folds, on the session's DeltaTree and delta membership.
+  data::SynOptions syn;
+  syn.num_objects = 1000;
+  syn.avg_instances = 3;
+  syn.value_range = 2500.0;
+  syn.cluster_width = 50.0;
+  syn.seed = 6;
+  const model::Database db = data::MakeSynDataset(syn);
+  engine::RankingEngine::Options options;
+  options.k = 5;
+  engine::RankingEngine engine(db, options);
+  constexpr int kPairs = 4;
+
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE(round);
+    const std::unique_ptr<core::PairSelector> selector =
+        engine.MakeSelector(core::SelectorKind::kOpt);
+    const auto* opt = dynamic_cast<const core::BoundSelector*>(selector.get());
+    ASSERT_NE(opt, nullptr);
+    std::vector<core::ScoredPair> picks;
+    ASSERT_TRUE(selector->SelectPairs(kPairs, &picks).ok());
+    EXPECT_LE(opt->stats().pairs_evaluated, 100);
+    ExpectSameTop(picks, ExhaustiveTop(engine.working_db(),
+                                       *engine.membership(), kPairs));
+    if (round == 1) break;
+    // Answer every pick as the world where each object takes its first
+    // instance would, so the answers never contradict each other.
+    for (const core::ScoredPair& ask : picks) {
+      const bool a_first =
+          db.PositionOf({ask.a, 0}) < db.PositionOf({ask.b, 0});
+      engine::RankingEngine::FoldOutcome outcome;
+      ASSERT_TRUE(engine
+                      .Fold(a_first ? ask.a : ask.b, a_first ? ask.b : ask.a,
+                            /*update_working=*/true, &outcome)
+                      .ok());
+      ASSERT_EQ(outcome, engine::RankingEngine::FoldOutcome::kApplied);
+    }
+  }
 }
 
 TEST(BoundSelector, PruningActuallyPrunes) {

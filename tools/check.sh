@@ -12,8 +12,9 @@
 # recovery gates (journaled objective replays bit-identically, unknown
 # semantics bytes are refused), a crash-recovery gate (SIGKILL a
 # persisting server mid-stream, restart with --recover, diff the rest of
-# the transcript against an uninterrupted golden run), and an ASan/UBSan
-# build running the
+# the transcript against an uninterrupted golden run), a benchmark smoke
+# run (perfbench clean_opt for 2 s, output check must pass), and an
+# ASan/UBSan build running the
 # robustness, engine-equivalence, simd kernel, and persistence tests and a
 # timed fuzz smoke pass over the committed seed corpus.
 # Usage: tools/check.sh [fuzz_seconds]
@@ -226,6 +227,18 @@ grep -q 'recovered 1 session' /tmp/ptk_crash_recover.err \
 diff <(head -n 3 /tmp/ptk_crash_golden.out) /tmp/ptk_crash_part1.out
 diff <(tail -n 4 /tmp/ptk_crash_golden.out) /tmp/ptk_crash_part2.out
 rm -rf "$CRASH_CSV" "$CRASH_DIR"
+
+echo "== benchmark smoke: perfbench clean_opt for 2 s, every response checked =="
+# The repository benchmark (BENCHMARK.json, perfbench/README.md) at tiny
+# scale: run.py builds its own tree, drives the real ptk_server over its
+# pipes and compares every response with a sequential in-process replay.
+# It must exit 0 and report "correct": true on its last stdout line.
+BENCH_OUT="$(mktemp)"
+python3 perfbench/run.py --workload clean_opt --seed 1 --seconds 2 \
+  --trace 0 > "$BENCH_OUT"
+tail -n 1 "$BENCH_OUT" | grep -q '"correct": true' \
+  || { echo "benchmark smoke: output check failed"; exit 1; }
+rm -f "$BENCH_OUT"
 
 echo "== ASan/UBSan: robustness + engine equivalence + fuzz smoke (${FUZZ_SECONDS}s/target) =="
 cmake -B build-asan -S . \
