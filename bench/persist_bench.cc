@@ -133,7 +133,7 @@ int main() {
           answers.emplace_back(std::min(pair.a, pair.b),
                                std::max(pair.a, pair.b));
         }
-        ptk::serve::SessionManager::PostReport report;
+        ptk::serve::PostReport report;
         if (!manager.PostAnswers(*id, answers, &report).ok()) return 1;
         replayable += static_cast<int>(2 * answers.size());  // asked+answer
       }

@@ -114,7 +114,7 @@ int main() {
             if (!pairs.ok()) return pairs.status();
             const auto a = (*pairs)[0].a;
             const auto b = (*pairs)[0].b;
-            ptk::serve::SessionManager::PostReport report;
+            ptk::serve::PostReport report;
             return manager.PostAnswers(
                 id, {{std::min(a, b), std::max(a, b)}}, &report);
           }
@@ -209,7 +209,7 @@ int main() {
             // Deterministic answer direction, as a real crowd would split.
             const bool forward = (s + round) % 2 == 0;
             op_start = Clock::now();
-            ptk::serve::SessionManager::PostReport report;
+            ptk::serve::PostReport report;
             const ptk::util::Status posted = manager.PostAnswers(
                 id,
                 {forward ? std::make_pair(std::min(a, b), std::max(a, b))

@@ -64,7 +64,7 @@ int main() {
   // (PB-tree + Algorithm 5) finds the pair with the highest expected
   // quality improvement.
   std::unique_ptr<ptk::core::PairSelector> selector =
-      engine.MakeSelector(ptk::engine::SelectorKind::kOpt);
+      engine.MakeSelector(ptk::core::SelectorKind::kOpt);
   std::vector<ptk::core::ScoredPair> best;
   Check(selector->SelectPairs(1, &best).ok() && best.size() == 1,
         "pair selection");

@@ -13,6 +13,11 @@
 //   * The JSON codec is fed the same bytes: one line of arbitrary garbage
 //     must decode-or-reject without crashing, and acceptance round-trips
 //     byte-identically through its encoder.
+//   * Cross-codec: the codecs are checked against each other, not only
+//     against themselves. A request either decoder accepts round-trips
+//     through the other codec to an equal Request; a response the binary
+//     decoder accepts has a JSON encoding that decodes and re-encodes to
+//     the same bytes (what `ptk_wire decode-responses` relies on).
 
 #include <cstdint>
 
@@ -25,12 +30,57 @@
 #include "util/status.h"
 #include "util/statusor.h"
 
+namespace {
+
+using ptk::serve::Codec;
+using ptk::serve::Request;
+using ptk::serve::Response;
+
+// The one frame of an encoding (as a transport would split it).
+std::string_view RequireOneFrame(const Codec& codec,
+                                 const std::string& encoded) {
+  ptk::util::StatusOr<ptk::serve::FrameSplit> split =
+      codec.SplitFrame(encoded);
+  PTK_FUZZ_REQUIRE(split.ok() && split->complete);
+  PTK_FUZZ_REQUIRE(split->consumed == encoded.size());
+  return split->frame;
+}
+
+// An accepted request is valid, and round-trips through both codecs to
+// an equal value.
+void RequireRequestRoundTrips(const Request& request) {
+  PTK_FUZZ_REQUIRE(ptk::serve::ValidateRequest(request).ok());
+  for (const ptk::serve::WireFormat format :
+       {ptk::serve::WireFormat::kBinary, ptk::serve::WireFormat::kJsonLines}) {
+    const Codec& codec = ptk::serve::CodecFor(format);
+    Request again;
+    PTK_FUZZ_REQUIRE(
+        codec
+            .DecodeRequest(RequireOneFrame(codec, codec.EncodeRequest(request)),
+                           &again)
+            .ok());
+    PTK_FUZZ_REQUIRE(again == request);
+  }
+}
+
+// JSON doubles round-trip as bytes, not bits: re-encoding the decoded
+// value must reproduce the encoder's canonical form exactly (encode .
+// decode is idempotent on its own output).
+void RequireJsonResponseRoundTrips(const Response& response) {
+  const Codec& json = ptk::serve::CodecFor(ptk::serve::WireFormat::kJsonLines);
+  const std::string once = json.EncodeResponse(response);
+  ptk::util::StatusOr<Response> stable =
+      json.DecodeResponse(RequireOneFrame(json, once));
+  PTK_FUZZ_REQUIRE(stable.ok());
+  PTK_FUZZ_REQUIRE(json.EncodeResponse(*stable) == once);
+}
+
+}  // namespace
+
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   const std::string_view bytes(reinterpret_cast<const char*>(data), size);
-  const ptk::serve::Codec& binary =
-      ptk::serve::CodecFor(ptk::serve::WireFormat::kBinary);
-  const ptk::serve::Codec& json =
-      ptk::serve::CodecFor(ptk::serve::WireFormat::kJsonLines);
+  const Codec& binary = ptk::serve::CodecFor(ptk::serve::WireFormat::kBinary);
+  const Codec& json = ptk::serve::CodecFor(ptk::serve::WireFormat::kJsonLines);
 
   // Walk the whole input as a frame stream, the way the server does.
   std::string_view rest = bytes;
@@ -42,29 +92,20 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     PTK_FUZZ_REQUIRE(split->consumed <= rest.size());
     PTK_FUZZ_REQUIRE(split->frame.size() <= split->consumed);
 
-    ptk::serve::Request request;
+    Request request;
     if (binary.DecodeRequest(split->frame, &request).ok()) {
-      PTK_FUZZ_REQUIRE(ptk::serve::ValidateRequest(request).ok());
-      const std::string reencoded = binary.EncodeRequest(request);
-      ptk::util::StatusOr<ptk::serve::FrameSplit> refr =
-          binary.SplitFrame(reencoded);
-      PTK_FUZZ_REQUIRE(refr.ok() && refr->complete);
-      ptk::serve::Request again;
-      PTK_FUZZ_REQUIRE(binary.DecodeRequest(refr->frame, &again).ok());
-      PTK_FUZZ_REQUIRE(again == request);
+      RequireRequestRoundTrips(request);
     }
-
-    ptk::util::StatusOr<ptk::serve::Response> response =
+    ptk::util::StatusOr<Response> response =
         binary.DecodeResponse(split->frame);
     if (response.ok()) {
-      const std::string reencoded = binary.EncodeResponse(*response);
-      ptk::util::StatusOr<ptk::serve::FrameSplit> refr =
-          binary.SplitFrame(reencoded);
-      PTK_FUZZ_REQUIRE(refr.ok() && refr->complete);
-      ptk::util::StatusOr<ptk::serve::Response> again =
-          binary.DecodeResponse(refr->frame);
+      // Bit-exact through binary (SameResponse compares doubles bitwise),
+      // and representable in JSON.
+      ptk::util::StatusOr<Response> again = binary.DecodeResponse(
+          RequireOneFrame(binary, binary.EncodeResponse(*response)));
       PTK_FUZZ_REQUIRE(again.ok());
       PTK_FUZZ_REQUIRE(ptk::serve::SameResponse(*again, *response));
+      RequireJsonResponseRoundTrips(*response);
     }
     rest.remove_prefix(split->consumed);
   }
@@ -72,30 +113,11 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   // Same bytes as one JSON line (strip at the first newline, the line
   // framing the JSON codec would apply).
   const std::string_view line = bytes.substr(0, bytes.find('\n'));
-  ptk::serve::Request request;
+  Request request;
   if (json.DecodeRequest(line, &request).ok()) {
-    PTK_FUZZ_REQUIRE(ptk::serve::ValidateRequest(request).ok());
-    const std::string encoded = json.EncodeRequest(request);
-    PTK_FUZZ_REQUIRE(!encoded.empty() && encoded.back() == '\n');
-    ptk::serve::Request again;
-    PTK_FUZZ_REQUIRE(
-        json.DecodeRequest(
-                std::string_view(encoded).substr(0, encoded.size() - 1),
-                &again)
-            .ok());
-    PTK_FUZZ_REQUIRE(again == request);
+    RequireRequestRoundTrips(request);
   }
-  ptk::util::StatusOr<ptk::serve::Response> response =
-      json.DecodeResponse(line);
-  if (response.ok()) {
-    // JSON doubles round-trip as bytes, not bits: re-encoding the decoded
-    // value must reproduce the encoder's canonical form exactly once
-    // stabilized (encode . decode is idempotent on its own output).
-    const std::string once = json.EncodeResponse(*response);
-    ptk::util::StatusOr<ptk::serve::Response> stable = json.DecodeResponse(
-        std::string_view(once).substr(0, once.size() - 1));
-    PTK_FUZZ_REQUIRE(stable.ok());
-    PTK_FUZZ_REQUIRE(json.EncodeResponse(*stable) == once);
-  }
+  ptk::util::StatusOr<Response> response = json.DecodeResponse(line);
+  if (response.ok()) RequireJsonResponseRoundTrips(*response);
   return 0;
 }

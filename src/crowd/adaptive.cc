@@ -69,7 +69,7 @@ util::StatusOr<std::vector<AdaptiveCleaner::StepReport>> AdaptiveCleaner::Run(
     // maintained membership calculator and PB-tree, so construction does
     // not re-scan or re-index the untouched objects.
     std::unique_ptr<core::PairSelector> selector =
-        engine_.MakeSelector(engine::SelectorKind::kOpt);
+        engine_.MakeSelector(core::SelectorKind::kOpt);
     // Over-request so previously asked pairs can be skipped. Object ids
     // are stable across folds: the overlay reweights marginals in place
     // and never drops objects.

@@ -284,7 +284,8 @@ core::SelectorOptions RankingEngine::BaseSelectorOptions() const {
 }
 
 std::unique_ptr<core::PairSelector> RankingEngine::MakeSelector(
-    SelectorKind kind) {
+    core::SelectorKind kind) {
+  using core::SelectorKind;
   core::SelectorOptions o = BaseSelectorOptions();
   // Attach only the artifacts the kind consumes, so e.g. a BF run never
   // pays for a PB-tree build.
@@ -306,9 +307,17 @@ std::unique_ptr<core::PairSelector> RankingEngine::MakeSelector(
       options_.candidate_pool);
 }
 
+void RankingEngine::SyncMemo() const {
+  if (memo_version_ == version_) return;
+  dist_.reset();
+  quality_.reset();
+  memo_version_ = version_;
+}
+
 util::Status RankingEngine::EnsureDistribution() const {
   const EngineMetrics& metrics = EngineMetrics::Get();
-  if (dist_valid_ && dist_version_ == version_) {
+  SyncMemo();
+  if (dist_.has_value()) {
     distribution_hits_.fetch_add(1, std::memory_order_relaxed);
     metrics.distribution_memo_hits->Add();
     return util::Status::OK();
@@ -320,18 +329,6 @@ util::Status RankingEngine::EnsureDistribution() const {
   enumerations_.fetch_add(1, std::memory_order_relaxed);
   metrics.distribution_builds->Add();
   dist_ = std::move(dist);
-  if (options_.semantics == core::SemanticsId::kEntropy) {
-    // The paper's objective, extracted behind the interface: the entropy
-    // semantics reduces the memoized distribution to the same
-    // dist_.Entropy() bits the engine always reported.
-    core::SemanticsContext ctx = SemanticsContextNow();
-    ctx.distribution = &dist_;
-    quality_ = semantics_->Uncertainty(ctx);
-  } else {
-    quality_ = dist_.Entropy();
-  }
-  dist_valid_ = true;
-  dist_version_ = version_;
   return util::Status::OK();
 }
 
@@ -347,25 +344,28 @@ core::SemanticsContext RankingEngine::SemanticsContextNow() const {
 util::StatusOr<pw::TopKDistribution> RankingEngine::Distribution() const {
   util::Status s = EnsureDistribution();
   if (!s.ok()) return s;
-  return dist_;
+  return *dist_;
 }
 
 util::StatusOr<double> RankingEngine::Quality() const {
-  if (options_.semantics == core::SemanticsId::kEntropy) {
-    util::Status s = EnsureDistribution();
-    if (!s.ok()) return s;
-    return quality_;
-  }
-  if (sem_quality_valid_ && sem_quality_version_ == version_) {
+  SyncMemo();
+  if (quality_.has_value()) {
     distribution_hits_.fetch_add(1, std::memory_order_relaxed);
     EngineMetrics::Get().distribution_memo_hits->Add();
-    return sem_quality_;
+    return *quality_;
   }
-  sem_quality_ = semantics_->Uncertainty(SemanticsContextNow());
-  sem_quality_valid_ = true;
-  sem_quality_version_ = version_;
-  SemanticsEvalsCounter(semantics_->name())->Add();
-  return sem_quality_;
+  core::SemanticsContext ctx = SemanticsContextNow();
+  if (semantics_->needs_distribution()) {
+    // Entropy, the paper's objective: the memoized distribution reduced
+    // to the same Entropy() bits the engine always reported.
+    util::Status s = EnsureDistribution();
+    if (!s.ok()) return s;
+    ctx.distribution = &*dist_;
+  } else {
+    SemanticsEvalsCounter(semantics_->name())->Add();
+  }
+  quality_ = semantics_->Uncertainty(ctx);
+  return *quality_;
 }
 
 util::StatusOr<std::vector<topk::ScoredObject>> RankingEngine::PointAnswer()
@@ -374,7 +374,7 @@ util::StatusOr<std::vector<topk::ScoredObject>> RankingEngine::PointAnswer()
   if (semantics_->needs_distribution()) {
     util::Status s = EnsureDistribution();
     if (!s.ok()) return s;
-    ctx.distribution = &dist_;
+    ctx.distribution = &*dist_;
   }
   return semantics_->PointAnswer(ctx);
 }

@@ -6,7 +6,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/quality.h"
@@ -25,22 +24,6 @@
 #include "util/thread_pool.h"
 
 namespace ptk::engine {
-
-/// Selector kinds and their helpers live in core/selector.h now (they are
-/// the construction surface of the selection layer, not an engine
-/// concept); these aliases keep the historical engine:: spellings valid.
-using SelectorKind = core::SelectorKind;
-
-inline std::string_view SelectorKindName(SelectorKind kind) {
-  return core::SelectorKindName(kind);
-}
-inline std::optional<SelectorKind> SelectorKindFromName(
-    std::string_view name) {
-  return core::SelectorKindFromName(name);
-}
-inline std::vector<SelectorKind> AllSelectorKinds() {
-  return core::AllSelectorKinds();
-}
 
 /// The incremental conditioning layer shared by cleaning sessions, the
 /// adaptive cleaner, the CLI, and the examples.
@@ -220,7 +203,7 @@ class RankingEngine {
   /// cheap once the shared artifacts exist, and a selector created before
   /// a Fold would keep serving the refreshed artifacts without re-reading
   /// options.
-  std::unique_ptr<core::PairSelector> MakeSelector(SelectorKind kind);
+  std::unique_ptr<core::PairSelector> MakeSelector(core::SelectorKind kind);
 
   /// The exact top-k distribution conditioned on the accumulated
   /// constraints (on the base database). Memoized per version().
@@ -278,6 +261,8 @@ class RankingEngine {
  private:
   // Engine options projected onto SelectorOptions, without artifacts.
   core::SelectorOptions BaseSelectorOptions() const;
+  // Empties the memo if it holds an older version than version_.
+  void SyncMemo() const;
   // Builds/refreshes the memoized distribution for the current version.
   util::Status EnsureDistribution() const;
   // The context the active semantics reads (base, working, k, order).
@@ -306,19 +291,16 @@ class RankingEngine {
   std::shared_ptr<rank::MembershipCalculator> delta_membership_;
   std::unique_ptr<pbtree::DeltaTree> delta_tree_;
 
-  // Memoized exact conditioning, keyed on version_.
-  mutable bool dist_valid_ = false;
-  mutable uint64_t dist_version_ = 0;
-  mutable pw::TopKDistribution dist_;
-  mutable double quality_ = 0.0;
+  // The one memo, for constraint-set version memo_version_: the exact
+  // conditioned distribution once built, and the active objective's
+  // quality once computed. SyncMemo() drops both when version_ moves on.
+  mutable uint64_t memo_version_ = 0;
+  mutable std::optional<pw::TopKDistribution> dist_;
+  mutable std::optional<double> quality_;
 
-  // The active objective and — for non-default semantics — its memoized
-  // uncertainty, keyed on version_ like the distribution memo. Mutable:
-  // the semantics' internal memo refreshes from const Quality() reads.
+  // The active objective. Mutable: the semantics' internal memo refreshes
+  // from const Quality() reads.
   mutable std::unique_ptr<core::RankingSemantics> semantics_;
-  mutable bool sem_quality_valid_ = false;
-  mutable uint64_t sem_quality_version_ = 0;
-  mutable double sem_quality_ = 0.0;
 
   // counters() storage. Atomics, not a struct: the memo counters are
   // bumped from const accessors and folds_* from Fold, while counters()

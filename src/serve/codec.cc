@@ -1,10 +1,16 @@
 #include "serve/codec.h"
 
+#include <algorithm>
+#include <array>
+#include <bit>
+#include <charconv>
+#include <concepts>
 #include <cstdio>
-#include <cstring>
 #include <limits>
 #include <string>
+#include <type_traits>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "data/field_parse.h"
@@ -26,49 +32,31 @@ std::string FormatDouble(double value) {
   return buffer;
 }
 
-util::Status StatusFromCode(util::Status::Code code, std::string message) {
-  using Code = util::Status::Code;
-  switch (code) {
-    case Code::kOk: return util::Status::OK();
-    case Code::kInvalidArgument:
-      return util::Status::InvalidArgument(std::move(message));
-    case Code::kNotFound: return util::Status::NotFound(std::move(message));
-    case Code::kResourceExhausted:
-      return util::Status::ResourceExhausted(std::move(message));
-    case Code::kIoError: return util::Status::IoError(std::move(message));
-    case Code::kInternal: return util::Status::Internal(std::move(message));
-    case Code::kFailedPrecondition:
-      return util::Status::FailedPrecondition(std::move(message));
-    case Code::kCancelled:
-      return util::Status::Cancelled(std::move(message));
-    case Code::kDeadlineExceeded:
-      return util::Status::DeadlineExceeded(std::move(message));
+/// Error statuses by code: util::Status::Code's value, which is also the
+/// binary status byte. Code 0 is OK, which no error response carries.
+using StatusFactory = util::Status (*)(std::string);
+constexpr StatusFactory kErrorStatus[] = {
+    nullptr,
+    &util::Status::InvalidArgument,
+    &util::Status::NotFound,
+    &util::Status::ResourceExhausted,
+    &util::Status::IoError,
+    &util::Status::Internal,
+    &util::Status::FailedPrecondition,
+    &util::Status::Cancelled,
+    &util::Status::DeadlineExceeded,
+};
+static_assert(std::size(kErrorStatus) ==
+              static_cast<size_t>(util::Status::Code::kDeadlineExceeded) + 1);
+
+/// Stores `wide` as an object id (never negative, at most INT32_MAX), or
+/// sets `*status` to the range error.
+void ToObjectId(int64_t wide, model::ObjectId* id, util::Status* status) {
+  if (wide < 0 || wide > std::numeric_limits<model::ObjectId>::max()) {
+    *status = util::Status::InvalidArgument("protocol: object id out of range");
+    return;
   }
-  return util::Status::Internal(std::move(message));
-}
-
-std::optional<util::Status::Code> StatusCodeFromName(std::string_view name) {
-  using Code = util::Status::Code;
-  for (const Code code :
-       {Code::kOk, Code::kInvalidArgument, Code::kNotFound,
-        Code::kResourceExhausted, Code::kIoError, Code::kInternal,
-        Code::kFailedPrecondition, Code::kCancelled,
-        Code::kDeadlineExceeded}) {
-    if (name == util::StatusCodeName(code)) return code;
-  }
-  return std::nullopt;
-}
-
-uint64_t DoubleBits(double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return bits;
-}
-
-double DoubleFromBits(uint64_t bits) {
-  double v;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
+  *id = static_cast<model::ObjectId>(wide);
 }
 
 /// Single-line JSON reader for the protocol's value subset (strings with
@@ -171,7 +159,9 @@ class JsonReader {
     return ParseError("unterminated string", text_);
   }
 
-  util::Status ParseInt(int64_t* out) {
+  /// A decimal integer over the full range of T (int64_t or uint64_t).
+  template <typename T>
+  util::Status ParseInt(T* out) {
     SkipWs();
     const size_t start = pos_;
     if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+')) {
@@ -180,8 +170,15 @@ class JsonReader {
     while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
       ++pos_;
     }
-    const std::string_view token = text_.substr(start, pos_ - start);
-    if (!data::internal::ParseInt64Field(token, out)) {
+    std::string_view token = text_.substr(start, pos_ - start);
+    // Unsigned fields read "-0" as 0, as the signed ones do.
+    if (std::is_unsigned_v<T> && token.starts_with('-') &&
+        token.find_first_not_of('0', 1) == std::string_view::npos) {
+      token.remove_prefix(1);
+    }
+    const char* end = token.data() + token.size();
+    const auto [ptr, ec] = std::from_chars(token.data(), end, *out);
+    if (ec != std::errc{} || ptr != end) {
       return ParseError("expected integer", text_.substr(start));
     }
     return util::Status::OK();
@@ -227,68 +224,584 @@ class JsonReader {
   size_t pos_ = 0;
 };
 
-/// Legacy payload renderers: these must keep producing byte-for-byte the
-/// fragments the string-spliced ExecuteRequest produced, which is what
-/// tools/serve_smoke.golden (and every recorded transcript) pins.
-struct JsonPayloadRender {
-  std::string operator()(const Response::None&) const { return {}; }
-  std::string operator()(const Response::Created& v) const {
-    return ",\"session\":\"" + obs::JsonEscape(v.session) + "\"";
-  }
-  std::string operator()(const Response::Pairs& v) const {
-    std::string out = ",\"pairs\":[";
-    for (size_t i = 0; i < v.pairs.size(); ++i) {
-      if (i > 0) out += ',';
-      out += '[' + std::to_string(v.pairs[i].a) + ',' +
-             std::to_string(v.pairs[i].b) + ',' +
-             FormatDouble(v.pairs[i].ei) + ']';
-    }
-    out += ']';
-    return out;
-  }
-  std::string operator()(const Response::Posted& v) const {
-    return ",\"applied\":" + std::to_string(v.report.applied) +
-           ",\"contradictory\":" + std::to_string(v.report.contradictory) +
-           ",\"degenerate\":" + std::to_string(v.report.degenerate) +
-           ",\"version\":" + std::to_string(v.report.version);
-  }
-  std::string operator()(const Response::Distribution& v) const {
-    std::string out = ",\"sets\":[";
-    for (size_t i = 0; i < v.sets.size(); ++i) {
-      if (i > 0) out += ',';
-      out += "{\"objects\":[";
-      for (size_t j = 0; j < v.sets[i].objects.size(); ++j) {
-        if (j > 0) out += ',';
-        out += std::to_string(v.sets[i].objects[j]);
-      }
-      out += "],\"p\":" + FormatDouble(v.sets[i].p) + '}';
-    }
-    out += "],\"entropy\":" + FormatDouble(v.entropy);
-    return out;
-  }
-  std::string operator()(const Response::Quality& v) const {
-    return ",\"quality\":" + FormatDouble(v.quality);
-  }
-  std::string operator()(const Response::Metrics& v) const {
-    std::string out = ",\"sessions_open\":" + std::to_string(v.sessions_open);
-    out += ",\"session_bytes\":{";
-    for (size_t i = 0; i < v.session_bytes.size(); ++i) {
-      if (i > 0) out += ',';
-      out += "\"" + obs::JsonEscape(v.session_bytes[i].session) +
-             "\":" + std::to_string(v.session_bytes[i].bytes);
-    }
-    out += "},\"session_bytes_total\":" +
-           std::to_string(v.session_bytes_total);
-    if (v.has_scheduler) {
-      out += ",\"queue_depth\":" + std::to_string(v.queue_depth) +
-             ",\"submitted\":" + std::to_string(v.submitted) +
-             ",\"executed\":" + std::to_string(v.executed) +
-             ",\"shed\":" + std::to_string(v.shed) +
-             ",\"deadline_misses\":" + std::to_string(v.deadline_misses);
-    }
-    return out;
-  }
+// ---------------------------------------------------------------------------
+// The field table
+//
+// Each message body is described once below, in wire order, with the
+// JSON key of every field: the request fields after the op, the PostReport,
+// and each Response::Payload alternative. Four visitors walk these tables
+// — JsonOut, JsonIn, BinaryOut, BinaryIn — so both codecs encode and
+// decode the same fields in the same order by construction. Only the
+// envelopes are written per codec: the request op, the JSON "ok"/"error"
+// object, and the binary flags byte with its status and extras.
+//
+// A visitor has one method per field kind; `key` names the JSON member.
+//   kind     C++ field         JSON          binary (the value alone)
+//   Str      string            string        u32 length + bytes
+//   I64      int64             integer       i64
+//   U32      int               integer       u32
+//   U64      uint64            integer       u64
+//   F64      double            %.9g          IEEE-754 bits as u64
+//   Oid      object id         integer       u32, at most INT32_MAX
+//   List     vector            array/object  u32 count + the elements
+//   Group    flag + fields     all or none   u8 flag (0/1) + the fields
+//   Trailer  string            string        [u8 flags (bit0), str]
+// A List names how JSON spells its elements (Shape); its element type has
+// a table of its own. JSON writes every field of a response; a request
+// field equal to its default (I64's `dflt`, else empty) is left out, and
+// a decoded request keeps the default of every field that is absent.
+
+/// How a List's elements look in JSON. In binary they are just their
+/// fields in order.
+enum class Shape {
+  kTuples,   // [[a,b],...]: each element an array of its fields
+  kRecords,  // [{"k":v,...},...]: each element an object
+  kScalars,  // [a,...]: each element one bare value
+  kMap,      // {"name":value,...}: each element a (string, value) pair
 };
+
+constexpr int64_t kNoLimit = std::numeric_limits<uint32_t>::max();
+
+template <typename U, typename T>
+concept Like = std::same_as<std::remove_const_t<U>, T>;
+
+using Answer = std::pair<model::ObjectId, model::ObjectId>;
+
+void Fields(auto& v, Like<model::ObjectId> auto& id) { v.Oid("id", id); }
+
+void Fields(auto& v, Like<Answer> auto& answer) {
+  v.Oid("smaller", answer.first);
+  v.Oid("larger", answer.second);
+}
+
+void Fields(auto& v, Like<Request> auto& r) {
+  v.Str("id", r.id);
+  v.Str("session", r.session);
+  v.I64("count", r.count, 1);
+  v.I64("limit", r.limit);
+  v.I64("deadline_ms", r.deadline_ms);
+  v.List("answers", r.answers, Shape::kTuples, RequestLimits::kMaxAnswers);
+  v.Trailer("semantics", r.semantics);
+}
+
+void Fields(auto& v, Like<PostReport> auto& r) {
+  v.U32("applied", r.applied);
+  v.U32("contradictory", r.contradictory);
+  v.U32("degenerate", r.degenerate);
+  v.U64("version", r.version);
+}
+
+void Fields(auto& v, Like<Response::PairScore> auto& pair) {
+  v.Oid("a", pair.a);
+  v.Oid("b", pair.b);
+  v.F64("ei", pair.ei);
+}
+
+void Fields(auto& v, Like<Response::RankedSet> auto& set) {
+  v.List("objects", set.objects, Shape::kScalars);
+  v.F64("p", set.p);
+}
+
+void Fields(auto& v, Like<Response::SessionBytes> auto& entry) {
+  v.Str("session", entry.session);
+  v.I64("bytes", entry.bytes);
+}
+
+// The payload alternatives. The binary payload kind byte is the variant
+// index; JSON writes the fields into the response object itself, and a
+// decoder tells the alternative by the first payload key it meets (no two
+// alternatives share a key).
+void Fields(auto&, Like<Response::None> auto&) {}
+
+void Fields(auto& v, Like<Response::Created> auto& created) {
+  v.Str("session", created.session);
+}
+
+void Fields(auto& v, Like<Response::Pairs> auto& pairs) {
+  v.List("pairs", pairs.pairs, Shape::kTuples, RequestLimits::kMaxCount);
+}
+
+void Fields(auto& v, Like<Response::Posted> auto& posted) {
+  Fields(v, posted.report);
+}
+
+void Fields(auto& v, Like<Response::Distribution> auto& dist) {
+  v.List("sets", dist.sets, Shape::kRecords, RequestLimits::kMaxLimit);
+  v.F64("entropy", dist.entropy);
+}
+
+void Fields(auto& v, Like<Response::Quality> auto& quality) {
+  v.F64("quality", quality.quality);
+}
+
+void Fields(auto& v, Like<Response::Metrics> auto& m) {
+  v.I64("sessions_open", m.sessions_open);
+  v.List("session_bytes", m.session_bytes, Shape::kMap);
+  v.I64("session_bytes_total", m.session_bytes_total);
+  v.Group("has_scheduler", m.has_scheduler, [&] {
+    v.I64("queue_depth", m.queue_depth);
+    v.I64("submitted", m.submitted);
+    v.I64("executed", m.executed);
+    v.I64("shed", m.shed);
+    v.I64("deadline_misses", m.deadline_misses);
+  });
+}
+
+/// Sets `*payload` to a default value of alternative `index`; false when
+/// there is no such alternative.
+bool EmplacePayload(Response::Payload* payload, size_t index) {
+  return [&]<size_t... I>(std::index_sequence<I...>) {
+    return ((index == I && (payload->emplace<I>(), true)) || ...);
+  }(std::make_index_sequence<std::variant_size_v<Response::Payload>>());
+}
+
+// ---------------------------------------------------------------------------
+// The four visitors
+
+/// JSON write: object members `"key":value` (records), or bare values
+/// with `sep` between them (tuples, map entries, scalars). The goldens
+/// and every recorded transcript pin its output byte for byte.
+class JsonOut {
+ public:
+  JsonOut(std::string& out, Shape shape)
+      : out_(out),
+        keyed_(shape == Shape::kRecords),
+        sep_(shape == Shape::kMap ? ':' : ',') {}
+
+  bool first = true;            // no separator before the next field
+  bool omit_defaults = false;   // requests: leave out default fields
+
+  void Str(std::string_view key, std::string_view v) {
+    if (omit_defaults && v.empty()) return;
+    Key(key);
+    out_ += '"';
+    out_ += obs::JsonEscape(v);
+    out_ += '"';
+  }
+  void I64(std::string_view key, int64_t v, int64_t dflt = 0) {
+    if (omit_defaults && v == dflt) return;
+    Int(key, v);
+  }
+  void U32(std::string_view key, int v) { Int(key, v); }
+  void U64(std::string_view key, uint64_t v) { Int(key, v); }
+  void F64(std::string_view key, double v) {
+    Key(key);
+    out_ += FormatDouble(v);
+  }
+  void Oid(std::string_view key, model::ObjectId v) { Int(key, v); }
+  template <typename T>
+  void List(std::string_view key, const std::vector<T>& list, Shape shape,
+            int64_t = kNoLimit) {
+    if (omit_defaults && list.empty()) return;
+    Key(key);
+    out_ += shape == Shape::kMap ? '{' : '[';
+    for (size_t i = 0; i < list.size(); ++i) {
+      if (i > 0) out_ += ',';
+      if (shape == Shape::kTuples) out_ += '[';
+      if (shape == Shape::kRecords) out_ += '{';
+      JsonOut element(out_, shape);
+      Fields(element, list[i]);
+      if (shape == Shape::kTuples) out_ += ']';
+      if (shape == Shape::kRecords) out_ += '}';
+    }
+    out_ += shape == Shape::kMap ? '}' : ']';
+  }
+  void Group(std::string_view, bool present, const auto& fields) {
+    if (present) fields();
+  }
+  void Trailer(std::string_view key, std::string_view v) { Str(key, v); }
+
+ private:
+  void Int(std::string_view key, auto v) {
+    Key(key);
+    out_ += std::to_string(v);
+  }
+  void Key(std::string_view key) {
+    if (!first) out_ += sep_;
+    first = false;
+    if (!keyed_) return;
+    out_ += '"';
+    out_ += key;
+    out_ += "\":";
+  }
+
+  std::string& out_;
+  const bool keyed_;
+  const char sep_;
+};
+
+/// Reads one JSON object; `member(key)` parses the value of each member.
+/// Keys may come in any order, each at most once.
+template <typename Member>
+util::Status ReadObject(JsonReader& in, const Member& member) {
+  if (!in.Consume('{')) return ParseError("expected object", in.Rest());
+  // The keys read so far, off the heap and small: no valid object of the
+  // protocol has more than 10 members (a metrics response).
+  std::array<std::string, 10> keys;
+  size_t n = 0;
+  for (; !in.Consume('}'); ++n) {
+    if (n > 0 && !in.Consume(',')) {
+      return ParseError("expected ',' or '}'", in.Rest());
+    }
+    if (n == keys.size()) return ParseError("too many members", in.Rest());
+    std::string& key = keys[n];
+    if (util::Status s = in.ParseString(&key); !s.ok()) return s;
+    if (!in.Consume(':')) {
+      return ParseError("expected ':' after key '" + key + "'", in.Rest());
+    }
+    if (std::find(keys.begin(), keys.begin() + n, key) != keys.begin() + n) {
+      return util::Status::InvalidArgument("protocol: repeated key '" + key +
+                                           "'");
+    }
+    if (util::Status s = member(key); !s.ok()) return s;
+  }
+  return util::Status::OK();
+}
+
+template <typename T>
+util::Status ReadList(JsonReader& in, Shape shape, std::vector<T>* list);
+
+/// JSON read. Keyed (records): Walk parses the one member named `key`
+/// into its field and counts it, so Complete() can tell afterwards
+/// whether every field of the table arrived. Positional (tuples, map
+/// entries, scalars): each field parses the next value, `sep` between.
+class JsonIn {
+ public:
+  JsonIn(JsonReader& in, Shape shape)
+      : in_(in),
+        keyed_(shape == Shape::kRecords),
+        sep_(shape == Shape::kMap ? ':' : ',') {}
+
+  void Str(std::string_view key, std::string& v) {
+    if (Take(key)) Check(in_.ParseString(&v));
+  }
+  void I64(std::string_view key, int64_t& v, int64_t = 0) {
+    if (Take(key)) Check(in_.ParseInt(&v));
+  }
+  void U32(std::string_view key, int& v) {
+    int64_t wide = 0;
+    if (Take(key) && Check(in_.ParseInt(&wide))) v = static_cast<int>(wide);
+  }
+  void U64(std::string_view key, uint64_t& v) {
+    if (Take(key)) Check(in_.ParseInt(&v));
+  }
+  void F64(std::string_view key, double& v) {
+    if (Take(key)) Check(in_.ParseDouble(&v));
+  }
+  void Oid(std::string_view key, model::ObjectId& v) {
+    int64_t wide = 0;
+    if (Take(key) && Check(in_.ParseInt(&wide))) ToObjectId(wide, &v, &status_);
+  }
+  template <typename T>
+  void List(std::string_view key, std::vector<T>& list, Shape shape,
+            int64_t = kNoLimit) {
+    if (Take(key)) Check(ReadList(in_, shape, &list));
+  }
+  void Group(std::string_view, bool& present, const auto& fields) {
+    in_group_ = true;
+    fields();
+    in_group_ = false;
+    present = group_hits_ > 0;
+  }
+  void Trailer(std::string_view key, std::string& v) { Str(key, v); }
+
+  /// Keyed: parses member `key` into the field of `msg` it names; false
+  /// (nothing read) when `msg` has no such field.
+  bool Walk(std::string_view key, auto& msg) {
+    key_ = key;
+    found_ = false;
+    fields_ = group_fields_ = 0;
+    Fields(*this, msg);
+    return found_;
+  }
+  /// Keyed: Walk, with an unknown key as the error.
+  util::Status Member(const std::string& key, auto& msg) {
+    if (Walk(key, msg)) return status_;
+    return util::Status::InvalidArgument("protocol: unknown key '" + key +
+                                         "'");
+  }
+  /// Keyed: a whole JSON object whose members are fields of `msg`.
+  util::Status Object(auto& msg) {
+    return ReadObject(
+        in_, [&](const std::string& key) { return Member(key, msg); });
+  }
+  /// Keyed: every field of the table walked last has arrived (a group's
+  /// fields all or none). Needs each key read at most once.
+  bool Complete() const {
+    return hits_ == fields_ &&
+           (group_hits_ == 0 || group_hits_ == group_fields_);
+  }
+  const util::Status& status() const { return status_; }
+
+ private:
+  // Whether this field is the one to read now.
+  bool Take(std::string_view key) {
+    if (!keyed_) {
+      if (!status_.ok()) return false;
+      if (!first_ && !in_.Consume(sep_)) {
+        status_ = ParseError(std::string("expected '") + sep_ + "'",
+                             in_.Rest());
+        return false;
+      }
+      first_ = false;
+      return true;
+    }
+    ++(in_group_ ? group_fields_ : fields_);
+    if (found_ || key != key_) return false;
+    found_ = true;
+    ++(in_group_ ? group_hits_ : hits_);
+    return true;
+  }
+  bool Check(util::Status status) {
+    if (!status.ok()) status_ = std::move(status);
+    return status_.ok();
+  }
+
+  JsonReader& in_;
+  const bool keyed_;
+  const char sep_;
+  bool first_ = true;
+  util::Status status_;
+  std::string_view key_;
+  bool found_ = false;
+  bool in_group_ = false;
+  int fields_ = 0, group_fields_ = 0;  // in the table walked last
+  int hits_ = 0, group_hits_ = 0;      // members read so far
+};
+
+/// Binary write: every field little-endian, appended to one frame whose
+/// u32 length prefix Framed() fills in.
+class BinaryOut {
+ public:
+  BinaryOut() : out_(4, '\0') {}
+
+  void Str(std::string_view, std::string_view v) {
+    Fixed(static_cast<uint32_t>(v.size()));
+    out_ += v;
+  }
+  void I64(std::string_view, int64_t v, int64_t = 0) { Fixed(v); }
+  void U32(std::string_view, int v) { Fixed(v); }
+  void U64(std::string_view, uint64_t v) { Fixed(v); }
+  void F64(std::string_view, double v) { Fixed(std::bit_cast<uint64_t>(v)); }
+  void Oid(std::string_view, model::ObjectId v) { Fixed(v); }
+  template <typename T>
+  void List(std::string_view, const std::vector<T>& list, Shape,
+            int64_t = kNoLimit) {
+    Fixed(static_cast<uint32_t>(list.size()));
+    for (const T& element : list) Fields(*this, element);
+  }
+  void Group(std::string_view, bool present, const auto& fields) {
+    Fixed(static_cast<uint8_t>(present));
+    if (present) fields();
+  }
+  void Trailer(std::string_view key, std::string_view v) {
+    if (v.empty()) return;
+    Fixed(uint8_t{1});
+    Str(key, v);
+  }
+
+  /// The low sizeof(U) bytes of `v`, two's complement for signed U.
+  template <typename U>
+  void Fixed(U v) {
+    for (size_t i = 0; i < sizeof(U); ++i) {
+      out_.push_back(
+          static_cast<char>((static_cast<uint64_t>(v) >> (8 * i)) & 0xff));
+    }
+  }
+  std::string Framed() && {
+    const uint32_t length = static_cast<uint32_t>(out_.size() - 4);
+    for (int i = 0; i < 4; ++i) {
+      out_[i] = static_cast<char>((length >> (8 * i)) & 0xff);
+    }
+    return std::move(out_);
+  }
+
+ private:
+  std::string out_;
+};
+
+/// Binary read: the same fields back, bounds-checked. The first failure
+/// sticks in status() and turns every later read into a no-op.
+class BinaryIn {
+ public:
+  explicit BinaryIn(std::string_view bytes) : bytes_(bytes) {}
+
+  void Str(std::string_view, std::string& v) {
+    uint32_t length = 0;
+    if (!Fixed(&length) || !Need(length)) return;
+    v.assign(bytes_.substr(pos_, length));
+    pos_ += length;
+  }
+  void I64(std::string_view, int64_t& v, int64_t = 0) { Fixed(&v); }
+  void U32(std::string_view, int& v) { Fixed(&v); }
+  void U64(std::string_view, uint64_t& v) { Fixed(&v); }
+  void F64(std::string_view, double& v) {
+    uint64_t bits = 0;
+    if (Fixed(&bits)) v = std::bit_cast<double>(bits);
+  }
+  void Oid(std::string_view, model::ObjectId& v) {
+    uint32_t wide = 0;
+    if (Fixed(&wide)) ToObjectId(wide, &v, &status_);
+  }
+  template <typename T>
+  void List(std::string_view key, std::vector<T>& list, Shape,
+            int64_t max_entries = kNoLimit) {
+    uint32_t n = 0;
+    if (!Fixed(&n)) return;
+    if (n > max_entries) {
+      status_ = util::Status::InvalidArgument(
+          "protocol: " + std::string(key) + " exceed " +
+          std::to_string(max_entries) + " entries");
+      return;
+    }
+    // Every element takes at least 4 bytes: the frame bounds the
+    // allocation.
+    if (!Need(size_t{n} * 4)) return;
+    list.resize(n);
+    for (T& element : list) {
+      Fields(*this, element);
+      if (!status_.ok()) return;
+    }
+  }
+  void Group(std::string_view key, bool& present, const auto& fields) {
+    uint8_t flag = 0;
+    if (!Fixed(&flag)) return;
+    if (flag > 1) {
+      status_ = util::Status::InvalidArgument("protocol: invalid " +
+                                              std::string(key) + " flag");
+      return;
+    }
+    present = flag == 1;
+    if (present) fields();
+  }
+  void Trailer(std::string_view key, std::string& v) {
+    uint8_t flags = 0;
+    if (AtEnd() || !Fixed(&flags)) return;
+    if ((flags & ~uint8_t{1}) != 0) {
+      status_ = util::Status::InvalidArgument(
+          "protocol: unknown request flags " + std::to_string(flags));
+      return;
+    }
+    // The encoder writes the trailer only when a flagged field is present,
+    // so an all-zero flags byte is not a canonical frame — reject it
+    // rather than tolerating trailing garbage.
+    if (flags == 0) {
+      status_ =
+          util::Status::InvalidArgument("protocol: empty request trailer");
+      return;
+    }
+    Str(key, v);
+  }
+
+  /// Reads sizeof(U) bytes into `*out` (left as it was on failure).
+  template <typename U>
+  bool Fixed(U* out) {
+    if (!Need(sizeof(U))) return false;
+    uint64_t v = 0;
+    for (size_t i = 0; i < sizeof(U); ++i) {
+      v |= uint64_t{static_cast<uint8_t>(bytes_[pos_ + i])} << (8 * i);
+    }
+    pos_ += sizeof(U);
+    *out = static_cast<U>(v);
+    return true;
+  }
+  bool AtEnd() const { return pos_ == bytes_.size(); }
+  const util::Status& status() const { return status_; }
+
+ private:
+  // Whether `n` more bytes are left to read; a truncation error if not.
+  bool Need(size_t n) {
+    if (status_.ok() && bytes_.size() - pos_ < n) {
+      status_ = util::Status::InvalidArgument(
+          "protocol: truncated binary frame");
+    }
+    return status_.ok();
+  }
+
+  std::string_view bytes_;
+  size_t pos_ = 0;
+  util::Status status_;
+};
+
+template <typename T>
+util::Status ReadList(JsonReader& in, Shape shape, std::vector<T>* list) {
+  const bool map = shape == Shape::kMap;
+  if (!in.Consume(map ? '{' : '[')) {
+    return ParseError(map ? "expected object" : "expected array", in.Rest());
+  }
+  while (!in.Consume(map ? '}' : ']')) {
+    if (!list->empty() && !in.Consume(',')) {
+      return ParseError("expected ',' between elements", in.Rest());
+    }
+    T& element = list->emplace_back();
+    JsonIn fields(in, shape);
+    if (shape == Shape::kRecords) {
+      if (util::Status s = fields.Object(element); !s.ok()) return s;
+      if (!fields.Complete()) {
+        return util::Status::InvalidArgument(
+            "protocol: list element is missing a field");
+      }
+      continue;
+    }
+    if (shape == Shape::kTuples && !in.Consume('[')) {
+      return ParseError("expected '['", in.Rest());
+    }
+    Fields(fields, element);
+    if (!fields.status().ok()) return fields.status();
+    if (shape == Shape::kTuples && !in.Consume(']')) {
+      return ParseError("expected ']'", in.Rest());
+    }
+  }
+  return util::Status::OK();
+}
+
+/// Parses the payload member `key` into `*payload`. The first payload
+/// member picks the alternative whose table has the key.
+util::Status ReadPayloadMember(JsonIn& fields, const std::string& key,
+                               Response::Payload* payload) {
+  const auto walk = [&] {
+    return std::visit([&](auto& alt) { return fields.Walk(key, alt); },
+                      *payload);
+  };
+  if (walk()) return fields.status();
+  if (payload->index() == 0) {
+    for (size_t i = 1; i < std::variant_size_v<Response::Payload>; ++i) {
+      EmplacePayload(payload, i);
+      if (walk()) return fields.status();
+    }
+    *payload = Response::None{};
+  }
+  return util::Status::InvalidArgument("protocol: unexpected key '" + key +
+                                       "'");
+}
+
+/// The JSON error object: code, message, and the optional extras.
+util::Status ReadJsonError(JsonReader& in, Response* response) {
+  std::string code_name;
+  std::string message;
+  util::Status s = ReadObject(in, [&](const std::string& key) {
+    if (key == "code") return in.ParseString(&code_name);
+    if (key == "message") return in.ParseString(&message);
+    if (key == "retry_after_ms") {
+      return in.ParseInt(&response->retry_after_ms);
+    }
+    if (key == "partial") {
+      return JsonIn(in, Shape::kRecords).Object(response->partial.emplace());
+    }
+    return util::Status::InvalidArgument("protocol: unknown error key '" +
+                                         key + "'");
+  });
+  if (!s.ok()) return s;
+  for (size_t code = 1; code < std::size(kErrorStatus); ++code) {
+    if (code_name ==
+        util::StatusCodeName(static_cast<util::Status::Code>(code))) {
+      response->status = kErrorStatus[code](std::move(message));
+      return util::Status::OK();
+    }
+  }
+  return util::Status::InvalidArgument("protocol: unknown error code '" +
+                                       code_name + "'");
+}
 
 }  // namespace
 
@@ -300,6 +813,12 @@ std::optional<WireFormat> WireFormatFromName(std::string_view name) {
 
 // ---------------------------------------------------------------------------
 // JsonCodec
+//
+// Request: {"op":"<name>", then the request fields}. Response: {["id":…,]
+// "ok":true, then the payload fields} or {["id":…,]"ok":false,"error":
+// {"code":…,"message":…[,"partial":{PostReport}][,"retry_after_ms":N]}}.
+// Every object follows one rule: members in any order, each key at most
+// once, unknown keys rejected.
 
 util::StatusOr<FrameSplit> JsonCodec::SplitFrame(
     std::string_view buffer) const {
@@ -322,89 +841,16 @@ util::StatusOr<FrameSplit> JsonCodec::SplitFrame(
 util::Status JsonCodec::DecodeRequest(std::string_view frame,
                                       Request* request) const {
   *request = Request{};
-  JsonReader reader(frame);
-  if (!reader.Consume('{')) {
-    return ParseError("expected request object", frame);
-  }
+  JsonReader in(frame);
+  JsonIn fields(in, Shape::kRecords);
   std::string op_name;
-  bool first = true;
-  while (!reader.Consume('}')) {
-    if (!first && !reader.Consume(',')) {
-      return ParseError("expected ',' or '}'", reader.Rest());
-    }
-    first = false;
-    std::string key;
-    if (util::Status s = reader.ParseString(&key); !s.ok()) return s;
-    if (!reader.Consume(':')) {
-      return ParseError("expected ':' after key '" + key + "'",
-                        reader.Rest());
-    }
-    if (key == "op") {
-      if (util::Status s = reader.ParseString(&op_name); !s.ok()) return s;
-    } else if (key == "session") {
-      if (util::Status s = reader.ParseString(&request->session); !s.ok()) {
-        return s;
-      }
-    } else if (key == "id") {
-      if (util::Status s = reader.ParseString(&request->id); !s.ok()) {
-        return s;
-      }
-    } else if (key == "count") {
-      if (util::Status s = reader.ParseInt(&request->count); !s.ok()) {
-        return s;
-      }
-    } else if (key == "limit") {
-      if (util::Status s = reader.ParseInt(&request->limit); !s.ok()) {
-        return s;
-      }
-    } else if (key == "deadline_ms") {
-      if (util::Status s = reader.ParseInt(&request->deadline_ms); !s.ok()) {
-        return s;
-      }
-    } else if (key == "answers") {
-      if (!reader.Consume('[')) {
-        return ParseError("expected answers array", reader.Rest());
-      }
-      while (!reader.Consume(']')) {
-        if (!request->answers.empty() && !reader.Consume(',')) {
-          return ParseError("expected ',' or ']' in answers", reader.Rest());
-        }
-        if (!reader.Consume('[')) {
-          return ParseError("expected [smaller,larger] pair", reader.Rest());
-        }
-        int64_t smaller = 0;
-        int64_t larger = 0;
-        if (util::Status s = reader.ParseInt(&smaller); !s.ok()) return s;
-        if (!reader.Consume(',')) {
-          return ParseError("expected ',' in answer pair", reader.Rest());
-        }
-        if (util::Status s = reader.ParseInt(&larger); !s.ok()) return s;
-        if (!reader.Consume(']')) {
-          return ParseError("expected ']' closing answer pair",
-                            reader.Rest());
-        }
-        constexpr int64_t kMaxId =
-            std::numeric_limits<model::ObjectId>::max();
-        if (smaller < 0 || smaller > kMaxId || larger < 0 ||
-            larger > kMaxId) {
-          return util::Status::InvalidArgument(
-              "protocol: answer object id out of range");
-        }
-        request->answers.emplace_back(static_cast<model::ObjectId>(smaller),
-                                      static_cast<model::ObjectId>(larger));
-      }
-    } else if (key == "semantics") {
-      if (util::Status s = reader.ParseString(&request->semantics); !s.ok()) {
-        return s;
-      }
-    } else {
-      return util::Status::InvalidArgument("protocol: unknown key '" + key +
-                                           "'");
-    }
-  }
-  if (!reader.AtEnd()) {
-    return ParseError("trailing characters after request object",
-                      reader.Rest());
+  util::Status s = ReadObject(in, [&](const std::string& key) {
+    if (key == "op") return in.ParseString(&op_name);
+    return fields.Member(key, *request);
+  });
+  if (!s.ok()) return s;
+  if (!in.AtEnd()) {
+    return ParseError("trailing characters after request object", in.Rest());
   }
   if (op_name.empty()) {
     return util::Status::InvalidArgument("protocol: missing \"op\"");
@@ -425,29 +871,10 @@ std::string JsonCodec::EncodeRequest(const Request& request) const {
   std::string out = "{\"op\":\"";
   out += OpName(request.op);
   out += '"';
-  if (!request.id.empty()) {
-    out += ",\"id\":\"" + obs::JsonEscape(request.id) + "\"";
-  }
-  if (!request.session.empty()) {
-    out += ",\"session\":\"" + obs::JsonEscape(request.session) + "\"";
-  }
-  if (request.count != 1) out += ",\"count\":" + std::to_string(request.count);
-  if (request.limit != 0) out += ",\"limit\":" + std::to_string(request.limit);
-  if (request.deadline_ms != 0) {
-    out += ",\"deadline_ms\":" + std::to_string(request.deadline_ms);
-  }
-  if (!request.answers.empty()) {
-    out += ",\"answers\":[";
-    for (size_t i = 0; i < request.answers.size(); ++i) {
-      if (i > 0) out += ',';
-      out += '[' + std::to_string(request.answers[i].first) + ',' +
-             std::to_string(request.answers[i].second) + ']';
-    }
-    out += ']';
-  }
-  if (!request.semantics.empty()) {
-    out += ",\"semantics\":\"" + obs::JsonEscape(request.semantics) + "\"";
-  }
+  JsonOut fields(out, Shape::kRecords);
+  fields.first = false;
+  fields.omit_defaults = true;
+  Fields(fields, request);
   out += "}\n";
   return out;
 }
@@ -459,23 +886,24 @@ std::string JsonCodec::EncodeResponse(const Response& response) const {
   }
   if (response.status.ok()) {
     out += "\"ok\":true";
-    out += std::visit(JsonPayloadRender{}, response.payload);
+    JsonOut fields(out, Shape::kRecords);
+    fields.first = false;
+    std::visit([&](const auto& payload) { Fields(fields, payload); },
+               response.payload);
     out += "}";
   } else {
-    out += "\"ok\":false,\"error\":{\"code\":\"";
-    out += util::StatusCodeName(response.status.code());
-    out += "\",\"message\":\"" + obs::JsonEscape(response.status.message()) +
-           "\"";
+    out += "\"ok\":false,\"error\":{";
+    JsonOut error(out, Shape::kRecords);
+    error.Str("code", util::StatusCodeName(response.status.code()));
+    error.Str("message", response.status.message());
     if (response.partial.has_value()) {
-      out += ",\"partial\":{\"applied\":" +
-             std::to_string(response.partial->applied) +
-             ",\"contradictory\":" +
-             std::to_string(response.partial->contradictory) +
-             ",\"degenerate\":" + std::to_string(response.partial->degenerate) +
-             ",\"version\":" + std::to_string(response.partial->version) + "}";
+      out += ",\"partial\":{";
+      JsonOut fields(out, Shape::kRecords);
+      Fields(fields, *response.partial);
+      out += "}";
     }
     if (response.retry_after_ms >= 0) {
-      out += ",\"retry_after_ms\":" + std::to_string(response.retry_after_ms);
+      error.I64("retry_after_ms", response.retry_after_ms);
     }
     out += "}}";
   }
@@ -486,348 +914,38 @@ std::string JsonCodec::EncodeResponse(const Response& response) const {
 util::StatusOr<Response> JsonCodec::DecodeResponse(
     std::string_view frame) const {
   Response response;
-  JsonReader reader(frame);
-  if (!reader.Consume('{')) {
-    return ParseError("expected response object", frame);
-  }
-  bool ok_value = false;
-  bool saw_ok = false;
-  bool saw_error = false;
-  // Payload accumulators; which kind the payload is follows from which
-  // keys appeared (each encoded payload has a disjoint key set).
-  std::optional<Response::Created> created;
-  std::optional<Response::Pairs> pairs;
-  PostReport posted;
-  int posted_fields = 0;
-  std::optional<std::vector<Response::RankedSet>> sets;
-  std::optional<double> entropy;
-  std::optional<double> quality;
-  std::optional<Response::Metrics> metrics;
-  int scheduler_fields = 0;
-
-  auto metrics_ref = [&]() -> Response::Metrics& {
-    if (!metrics.has_value()) metrics.emplace();
-    return *metrics;
-  };
-
-  bool first = true;
-  while (!reader.Consume('}')) {
-    if (!first && !reader.Consume(',')) {
-      return ParseError("expected ',' or '}'", reader.Rest());
+  JsonReader in(frame);
+  JsonIn payload(in, Shape::kRecords);
+  std::optional<bool> ok;
+  bool has_error = false;
+  util::Status s = ReadObject(in, [&](const std::string& key) {
+    if (key == "id") return in.ParseString(&response.id);
+    if (key == "ok") return in.ParseBool(&ok.emplace());
+    if (key == "error") {
+      has_error = true;
+      return ReadJsonError(in, &response);
     }
-    first = false;
-    std::string key;
-    if (util::Status s = reader.ParseString(&key); !s.ok()) return s;
-    if (!reader.Consume(':')) {
-      return ParseError("expected ':' after key '" + key + "'",
-                        reader.Rest());
-    }
-    int64_t int_value = 0;
-    if (key == "id") {
-      if (util::Status s = reader.ParseString(&response.id); !s.ok()) {
-        return s;
-      }
-    } else if (key == "ok") {
-      if (util::Status s = reader.ParseBool(&ok_value); !s.ok()) return s;
-      saw_ok = true;
-    } else if (key == "session") {
-      created.emplace();
-      if (util::Status s = reader.ParseString(&created->session); !s.ok()) {
-        return s;
-      }
-    } else if (key == "pairs") {
-      pairs.emplace();
-      if (!reader.Consume('[')) {
-        return ParseError("expected pairs array", reader.Rest());
-      }
-      while (!reader.Consume(']')) {
-        if (!pairs->pairs.empty() && !reader.Consume(',')) {
-          return ParseError("expected ',' or ']' in pairs", reader.Rest());
-        }
-        if (!reader.Consume('[')) {
-          return ParseError("expected [a,b,ei] triple", reader.Rest());
-        }
-        Response::PairScore pair;
-        int64_t a = 0, b = 0;
-        if (util::Status s = reader.ParseInt(&a); !s.ok()) return s;
-        if (!reader.Consume(',')) {
-          return ParseError("expected ',' in pair", reader.Rest());
-        }
-        if (util::Status s = reader.ParseInt(&b); !s.ok()) return s;
-        if (!reader.Consume(',')) {
-          return ParseError("expected ',' in pair", reader.Rest());
-        }
-        if (util::Status s = reader.ParseDouble(&pair.ei); !s.ok()) return s;
-        if (!reader.Consume(']')) {
-          return ParseError("expected ']' closing pair", reader.Rest());
-        }
-        constexpr int64_t kMaxId =
-            std::numeric_limits<model::ObjectId>::max();
-        if (a < 0 || a > kMaxId || b < 0 || b > kMaxId) {
-          return util::Status::InvalidArgument(
-              "protocol: pair object id out of range");
-        }
-        pair.a = static_cast<model::ObjectId>(a);
-        pair.b = static_cast<model::ObjectId>(b);
-        pairs->pairs.push_back(pair);
-      }
-    } else if (key == "applied" || key == "contradictory" ||
-               key == "degenerate" || key == "version") {
-      if (util::Status s = reader.ParseInt(&int_value); !s.ok()) return s;
-      if (key == "applied") posted.applied = static_cast<int>(int_value);
-      if (key == "contradictory") {
-        posted.contradictory = static_cast<int>(int_value);
-      }
-      if (key == "degenerate") posted.degenerate = static_cast<int>(int_value);
-      if (key == "version") {
-        // version is unsigned on the wire; a negative here would wrap to
-        // 2^64-1 and re-encode as a value no int64 parser round-trips.
-        if (int_value < 0) {
-          return util::Status::InvalidArgument(
-              "protocol: version must be >= 0");
-        }
-        posted.version = static_cast<uint64_t>(int_value);
-      }
-      ++posted_fields;
-    } else if (key == "sets") {
-      sets.emplace();
-      if (!reader.Consume('[')) {
-        return ParseError("expected sets array", reader.Rest());
-      }
-      while (!reader.Consume(']')) {
-        if (!sets->empty() && !reader.Consume(',')) {
-          return ParseError("expected ',' or ']' in sets", reader.Rest());
-        }
-        if (!reader.Consume('{')) {
-          return ParseError("expected set object", reader.Rest());
-        }
-        Response::RankedSet set;
-        std::string set_key;
-        if (util::Status s = reader.ParseString(&set_key); !s.ok()) return s;
-        if (set_key != "objects" || !reader.Consume(':') ||
-            !reader.Consume('[')) {
-          return ParseError("expected \"objects\":[...]", reader.Rest());
-        }
-        while (!reader.Consume(']')) {
-          if (!set.objects.empty() && !reader.Consume(',')) {
-            return ParseError("expected ',' or ']' in objects",
-                              reader.Rest());
-          }
-          int64_t oid = 0;
-          if (util::Status s = reader.ParseInt(&oid); !s.ok()) return s;
-          constexpr int64_t kMaxId =
-              std::numeric_limits<model::ObjectId>::max();
-          if (oid < 0 || oid > kMaxId) {
-            return util::Status::InvalidArgument(
-                "protocol: set object id out of range");
-          }
-          set.objects.push_back(static_cast<model::ObjectId>(oid));
-        }
-        if (!reader.Consume(',')) {
-          return ParseError("expected ',' before \"p\"", reader.Rest());
-        }
-        if (util::Status s = reader.ParseString(&set_key); !s.ok()) return s;
-        if (set_key != "p" || !reader.Consume(':')) {
-          return ParseError("expected \"p\":", reader.Rest());
-        }
-        if (util::Status s = reader.ParseDouble(&set.p); !s.ok()) return s;
-        if (!reader.Consume('}')) {
-          return ParseError("expected '}' closing set", reader.Rest());
-        }
-        sets->push_back(std::move(set));
-      }
-    } else if (key == "entropy") {
-      entropy.emplace();
-      if (util::Status s = reader.ParseDouble(&*entropy); !s.ok()) return s;
-    } else if (key == "quality") {
-      quality.emplace();
-      if (util::Status s = reader.ParseDouble(&*quality); !s.ok()) return s;
-    } else if (key == "sessions_open") {
-      if (util::Status s = reader.ParseInt(&metrics_ref().sessions_open);
-          !s.ok()) {
-        return s;
-      }
-    } else if (key == "session_bytes") {
-      Response::Metrics& m = metrics_ref();
-      if (!reader.Consume('{')) {
-        return ParseError("expected session_bytes object", reader.Rest());
-      }
-      while (!reader.Consume('}')) {
-        if (!m.session_bytes.empty() && !reader.Consume(',')) {
-          return ParseError("expected ',' or '}' in session_bytes",
-                            reader.Rest());
-        }
-        Response::SessionBytes entry;
-        if (util::Status s = reader.ParseString(&entry.session); !s.ok()) {
-          return s;
-        }
-        if (!reader.Consume(':')) {
-          return ParseError("expected ':' in session_bytes", reader.Rest());
-        }
-        if (util::Status s = reader.ParseInt(&entry.bytes); !s.ok()) {
-          return s;
-        }
-        m.session_bytes.push_back(std::move(entry));
-      }
-    } else if (key == "session_bytes_total") {
-      if (util::Status s = reader.ParseInt(&metrics_ref().session_bytes_total);
-          !s.ok()) {
-        return s;
-      }
-    } else if (key == "queue_depth" || key == "submitted" ||
-               key == "executed" || key == "shed" ||
-               key == "deadline_misses") {
-      if (util::Status s = reader.ParseInt(&int_value); !s.ok()) return s;
-      Response::Metrics& m = metrics_ref();
-      m.has_scheduler = true;
-      if (key == "queue_depth") m.queue_depth = int_value;
-      if (key == "submitted") m.submitted = int_value;
-      if (key == "executed") m.executed = int_value;
-      if (key == "shed") m.shed = int_value;
-      if (key == "deadline_misses") m.deadline_misses = int_value;
-      ++scheduler_fields;
-    } else if (key == "error") {
-      saw_error = true;
-      if (!reader.Consume('{')) {
-        return ParseError("expected error object", reader.Rest());
-      }
-      std::string code_name;
-      std::string message;
-      bool first_error_key = true;
-      while (!reader.Consume('}')) {
-        if (!first_error_key && !reader.Consume(',')) {
-          return ParseError("expected ',' or '}' in error", reader.Rest());
-        }
-        first_error_key = false;
-        std::string error_key;
-        if (util::Status s = reader.ParseString(&error_key); !s.ok()) {
-          return s;
-        }
-        if (!reader.Consume(':')) {
-          return ParseError("expected ':' in error", reader.Rest());
-        }
-        if (error_key == "code") {
-          if (util::Status s = reader.ParseString(&code_name); !s.ok()) {
-            return s;
-          }
-        } else if (error_key == "message") {
-          if (util::Status s = reader.ParseString(&message); !s.ok()) {
-            return s;
-          }
-        } else if (error_key == "partial") {
-          if (!reader.Consume('{')) {
-            return ParseError("expected partial object", reader.Rest());
-          }
-          PostReport report;
-          bool first_partial_key = true;
-          while (!reader.Consume('}')) {
-            if (!first_partial_key && !reader.Consume(',')) {
-              return ParseError("expected ',' or '}' in partial",
-                                reader.Rest());
-            }
-            first_partial_key = false;
-            std::string partial_key;
-            if (util::Status s = reader.ParseString(&partial_key); !s.ok()) {
-              return s;
-            }
-            if (!reader.Consume(':')) {
-              return ParseError("expected ':' in partial", reader.Rest());
-            }
-            int64_t v = 0;
-            if (util::Status s = reader.ParseInt(&v); !s.ok()) return s;
-            if (partial_key == "applied") {
-              report.applied = static_cast<int>(v);
-            } else if (partial_key == "contradictory") {
-              report.contradictory = static_cast<int>(v);
-            } else if (partial_key == "degenerate") {
-              report.degenerate = static_cast<int>(v);
-            } else if (partial_key == "version") {
-              if (v < 0) {
-                return util::Status::InvalidArgument(
-                    "protocol: version must be >= 0");
-              }
-              report.version = static_cast<uint64_t>(v);
-            } else {
-              return util::Status::InvalidArgument(
-                  "protocol: unknown partial key '" + partial_key + "'");
-            }
-          }
-          response.partial = report;
-        } else if (error_key == "retry_after_ms") {
-          if (util::Status s = reader.ParseInt(&response.retry_after_ms);
-              !s.ok()) {
-            return s;
-          }
-        } else {
-          return util::Status::InvalidArgument(
-              "protocol: unknown error key '" + error_key + "'");
-        }
-      }
-      const std::optional<util::Status::Code> code =
-          StatusCodeFromName(code_name);
-      if (!code.has_value() || *code == util::Status::Code::kOk) {
-        return util::Status::InvalidArgument(
-            "protocol: unknown error code '" + code_name + "'");
-      }
-      response.status = StatusFromCode(*code, std::move(message));
-    } else {
-      return util::Status::InvalidArgument("protocol: unknown key '" + key +
-                                           "'");
-    }
-  }
-  if (!reader.AtEnd()) {
+    return ReadPayloadMember(payload, key, &response.payload);
+  });
+  if (!s.ok()) return s;
+  if (!in.AtEnd()) {
     return ParseError("trailing characters after response object",
-                      reader.Rest());
+                      in.Rest());
   }
-  if (!saw_ok) {
+  if (!ok.has_value()) {
     return util::Status::InvalidArgument("protocol: missing \"ok\"");
   }
-  if (ok_value == saw_error) {
+  if (*ok == has_error) {
     return util::Status::InvalidArgument(
         "protocol: ok flag inconsistent with error object");
   }
-
-  // Resolve the payload kind from the keys that appeared; the encoded
-  // payloads have disjoint key sets, so more than one kind is garbage.
-  int kinds = 0;
-  if (created.has_value()) ++kinds;
-  if (pairs.has_value()) ++kinds;
-  if (posted_fields > 0) ++kinds;
-  if (sets.has_value() || entropy.has_value()) ++kinds;
-  if (quality.has_value()) ++kinds;
-  if (metrics.has_value()) ++kinds;
-  if (kinds > 1) {
-    return util::Status::InvalidArgument(
-        "protocol: response mixes payload kinds");
-  }
-  if (!ok_value && kinds > 0) {
+  if (!*ok && response.payload.index() != 0) {
     return util::Status::InvalidArgument(
         "protocol: error response carries a payload");
   }
-  if (created.has_value()) {
-    response.payload = *std::move(created);
-  } else if (pairs.has_value()) {
-    response.payload = *std::move(pairs);
-  } else if (posted_fields > 0) {
-    if (posted_fields != 4) {
-      return util::Status::InvalidArgument(
-          "protocol: incomplete post_answers payload");
-    }
-    response.payload = Response::Posted{posted};
-  } else if (sets.has_value() || entropy.has_value()) {
-    if (!sets.has_value() || !entropy.has_value()) {
-      return util::Status::InvalidArgument(
-          "protocol: incomplete distribution payload");
-    }
-    response.payload = Response::Distribution{*std::move(sets), *entropy};
-  } else if (quality.has_value()) {
-    response.payload = Response::Quality{*quality};
-  } else if (metrics.has_value()) {
-    if (metrics->has_scheduler && scheduler_fields != 5) {
-      return util::Status::InvalidArgument(
-          "protocol: incomplete scheduler metrics");
-    }
-    response.payload = *std::move(metrics);
+  if (!payload.Complete()) {
+    return util::Status::InvalidArgument(
+        "protocol: response payload is missing a field");
   }
   return response;
 }
@@ -835,139 +953,26 @@ util::StatusOr<Response> JsonCodec::DecodeResponse(
 // ---------------------------------------------------------------------------
 // BinaryCodec
 //
-// Frame: u32le body length, then the body. All integers little-endian;
-// strings are u32le length + raw bytes; doubles are IEEE-754 bit patterns
-// as u64le. Request body:
-//   u8 op, str id, str session, i64 count, i64 limit, i64 deadline_ms,
-//   u32 n_answers x { u32 smaller, u32 larger }
-//   [optional trailer] u8 flags (bit0 semantics; rest must be zero),
-//                      [bit0] str semantics
-// The trailer is written only when a flagged field is present, so
-// pre-trailer frames (and their recorded bytes) decode unchanged: an
-// empty-semantics request encodes without the flags byte at all.
+// Frame: u32le body length, then the body, the fields encoded as in the
+// table above. Request body: u8 op, then the request fields; the trailer
+// (u8 flags, bit0 semantics, the rest zero; then the flagged strings) is
+// written only when a flagged field is present, so pre-trailer frames
+// (and their recorded bytes) decode unchanged.
 // Response body:
 //   u8 flags (bit0 ok, bit1 partial, bit2 retry; rest zero)
 //   str id
 //   [!ok]      u8 status code, str message
-//   [partial]  u32 applied, u32 contradictory, u32 degenerate, u64 version
+//   [partial]  the PostReport fields
 //   [retry]    i64 retry_after_ms
-//   u8 payload kind (0 none, 1 created, 2 pairs, 3 posted,
-//                    4 distribution, 5 quality, 6 metrics), then payload.
+//   u8 payload kind (the variant index: 0 none, 1 created, 2 pairs,
+//      3 posted, 4 distribution, 5 quality, 6 metrics), then its fields.
 // Trailing bytes after the decoded body are an error.
-
-namespace {
-
-class ByteWriter {
- public:
-  void U8(uint8_t v) { out_.push_back(static_cast<char>(v)); }
-  void U32(uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      out_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-    }
-  }
-  void U64(uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      out_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-    }
-  }
-  void I64(int64_t v) { U64(static_cast<uint64_t>(v)); }
-  void Str(std::string_view s) {
-    U32(static_cast<uint32_t>(s.size()));
-    out_.append(s);
-  }
-
-  /// The finished frame: length prefix + body.
-  std::string Framed() const {
-    std::string framed;
-    framed.reserve(4 + out_.size());
-    const uint32_t length = static_cast<uint32_t>(out_.size());
-    for (int i = 0; i < 4; ++i) {
-      framed.push_back(static_cast<char>((length >> (8 * i)) & 0xff));
-    }
-    framed += out_;
-    return framed;
-  }
-
- private:
-  std::string out_;
-};
-
-class ByteReader {
- public:
-  explicit ByteReader(std::string_view bytes) : bytes_(bytes) {}
-
-  bool U8(uint8_t* out) {
-    if (pos_ + 1 > bytes_.size()) return false;
-    *out = static_cast<uint8_t>(bytes_[pos_++]);
-    return true;
-  }
-  bool U32(uint32_t* out) {
-    if (pos_ + 4 > bytes_.size()) return false;
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<uint32_t>(static_cast<uint8_t>(bytes_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += 4;
-    *out = v;
-    return true;
-  }
-  bool U64(uint64_t* out) {
-    if (pos_ + 8 > bytes_.size()) return false;
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<uint64_t>(static_cast<uint8_t>(bytes_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += 8;
-    *out = v;
-    return true;
-  }
-  bool I64(int64_t* out) {
-    uint64_t v = 0;
-    if (!U64(&v)) return false;
-    *out = static_cast<int64_t>(v);
-    return true;
-  }
-  bool Str(std::string* out) {
-    uint32_t length = 0;
-    if (!U32(&length)) return false;
-    if (pos_ + length > bytes_.size()) return false;
-    out->assign(bytes_.substr(pos_, length));
-    pos_ += length;
-    return true;
-  }
-  bool AtEnd() const { return pos_ == bytes_.size(); }
-
- private:
-  std::string_view bytes_;
-  size_t pos_ = 0;
-};
-
-util::Status Truncated() {
-  return util::Status::InvalidArgument("protocol: truncated binary frame");
-}
-
-bool ReadObjectId(ByteReader& reader, model::ObjectId* out) {
-  uint32_t v = 0;
-  if (!reader.U32(&v)) return false;
-  if (v > static_cast<uint32_t>(std::numeric_limits<model::ObjectId>::max())) {
-    return false;
-  }
-  *out = static_cast<model::ObjectId>(v);
-  return true;
-}
-
-}  // namespace
 
 util::StatusOr<FrameSplit> BinaryCodec::SplitFrame(
     std::string_view buffer) const {
   if (buffer.size() < 4) return FrameSplit{};
   uint32_t length = 0;
-  for (int i = 0; i < 4; ++i) {
-    length |= static_cast<uint32_t>(static_cast<uint8_t>(buffer[i]))
-              << (8 * i);
-  }
+  BinaryIn(buffer).Fixed(&length);
   if (length > kMaxFrameBytes) {
     return util::Status::InvalidArgument(
         "protocol: binary frame of " + std::to_string(length) +
@@ -984,47 +989,12 @@ util::StatusOr<FrameSplit> BinaryCodec::SplitFrame(
 util::Status BinaryCodec::DecodeRequest(std::string_view frame,
                                         Request* request) const {
   *request = Request{};
-  ByteReader reader(frame);
+  BinaryIn in(frame);
   uint8_t op = 0;
-  if (!reader.U8(&op)) return Truncated();
-  if (!reader.Str(&request->id) || !reader.Str(&request->session) ||
-      !reader.I64(&request->count) || !reader.I64(&request->limit) ||
-      !reader.I64(&request->deadline_ms)) {
-    return Truncated();
-  }
-  uint32_t n_answers = 0;
-  if (!reader.U32(&n_answers)) return Truncated();
-  if (n_answers > RequestLimits::kMaxAnswers) {
-    return util::Status::InvalidArgument(
-        "protocol: answers exceed " +
-        std::to_string(RequestLimits::kMaxAnswers) + " pairs");
-  }
-  request->answers.reserve(n_answers);
-  for (uint32_t i = 0; i < n_answers; ++i) {
-    model::ObjectId smaller = 0;
-    model::ObjectId larger = 0;
-    if (!ReadObjectId(reader, &smaller) || !ReadObjectId(reader, &larger)) {
-      return Truncated();
-    }
-    request->answers.emplace_back(smaller, larger);
-  }
-  if (!reader.AtEnd()) {
-    uint8_t trailer_flags = 0;
-    if (!reader.U8(&trailer_flags)) return Truncated();
-    if ((trailer_flags & ~uint8_t{1}) != 0) {
-      return util::Status::InvalidArgument(
-          "protocol: unknown request flags " + std::to_string(trailer_flags));
-    }
-    // The encoder writes the trailer only when a flagged field is present,
-    // so an all-zero flags byte is not a canonical frame — reject it
-    // rather than tolerating trailing garbage.
-    if (trailer_flags == 0) {
-      return util::Status::InvalidArgument(
-          "protocol: empty request trailer");
-    }
-    if (!reader.Str(&request->semantics)) return Truncated();
-  }
-  if (!reader.AtEnd()) {
+  in.Fixed(&op);
+  Fields(in, *request);
+  if (!in.status().ok()) return in.status();
+  if (!in.AtEnd()) {
     return util::Status::InvalidArgument(
         "protocol: trailing bytes after binary request");
   }
@@ -1037,283 +1007,82 @@ util::Status BinaryCodec::DecodeRequest(std::string_view frame,
 }
 
 std::string BinaryCodec::EncodeRequest(const Request& request) const {
-  ByteWriter writer;
-  writer.U8(static_cast<uint8_t>(request.op));
-  writer.Str(request.id);
-  writer.Str(request.session);
-  writer.I64(request.count);
-  writer.I64(request.limit);
-  writer.I64(request.deadline_ms);
-  writer.U32(static_cast<uint32_t>(request.answers.size()));
-  for (const auto& [smaller, larger] : request.answers) {
-    writer.U32(static_cast<uint32_t>(smaller));
-    writer.U32(static_cast<uint32_t>(larger));
-  }
-  if (!request.semantics.empty()) {
-    writer.U8(1);
-    writer.Str(request.semantics);
-  }
-  return writer.Framed();
+  BinaryOut out;
+  out.Fixed(static_cast<uint8_t>(request.op));
+  Fields(out, request);
+  return std::move(out).Framed();
 }
 
 std::string BinaryCodec::EncodeResponse(const Response& response) const {
-  ByteWriter writer;
+  BinaryOut out;
   const bool ok = response.status.ok();
   uint8_t flags = ok ? 1 : 0;
   if (response.partial.has_value()) flags |= 2;
   if (response.retry_after_ms >= 0) flags |= 4;
-  writer.U8(flags);
-  writer.Str(response.id);
+  out.Fixed(flags);
+  out.Str("id", response.id);
   if (!ok) {
-    writer.U8(static_cast<uint8_t>(response.status.code()));
-    writer.Str(response.status.message());
+    out.Fixed(static_cast<uint8_t>(response.status.code()));
+    out.Str("message", response.status.message());
   }
-  if (response.partial.has_value()) {
-    writer.U32(static_cast<uint32_t>(response.partial->applied));
-    writer.U32(static_cast<uint32_t>(response.partial->contradictory));
-    writer.U32(static_cast<uint32_t>(response.partial->degenerate));
-    writer.U64(response.partial->version);
+  if (response.partial.has_value()) Fields(out, *response.partial);
+  if (response.retry_after_ms >= 0) {
+    out.I64("retry_after_ms", response.retry_after_ms);
   }
-  if (response.retry_after_ms >= 0) writer.I64(response.retry_after_ms);
-  struct Render {
-    ByteWriter& w;
-    void operator()(const Response::None&) { w.U8(0); }
-    void operator()(const Response::Created& v) {
-      w.U8(1);
-      w.Str(v.session);
-    }
-    void operator()(const Response::Pairs& v) {
-      w.U8(2);
-      w.U32(static_cast<uint32_t>(v.pairs.size()));
-      for (const Response::PairScore& pair : v.pairs) {
-        w.U32(static_cast<uint32_t>(pair.a));
-        w.U32(static_cast<uint32_t>(pair.b));
-        w.U64(DoubleBits(pair.ei));
-      }
-    }
-    void operator()(const Response::Posted& v) {
-      w.U8(3);
-      w.U32(static_cast<uint32_t>(v.report.applied));
-      w.U32(static_cast<uint32_t>(v.report.contradictory));
-      w.U32(static_cast<uint32_t>(v.report.degenerate));
-      w.U64(v.report.version);
-    }
-    void operator()(const Response::Distribution& v) {
-      w.U8(4);
-      w.U32(static_cast<uint32_t>(v.sets.size()));
-      for (const Response::RankedSet& set : v.sets) {
-        w.U32(static_cast<uint32_t>(set.objects.size()));
-        for (const model::ObjectId oid : set.objects) {
-          w.U32(static_cast<uint32_t>(oid));
-        }
-        w.U64(DoubleBits(set.p));
-      }
-      w.U64(DoubleBits(v.entropy));
-    }
-    void operator()(const Response::Quality& v) {
-      w.U8(5);
-      w.U64(DoubleBits(v.quality));
-    }
-    void operator()(const Response::Metrics& v) {
-      w.U8(6);
-      w.I64(v.sessions_open);
-      w.U32(static_cast<uint32_t>(v.session_bytes.size()));
-      for (const Response::SessionBytes& entry : v.session_bytes) {
-        w.Str(entry.session);
-        w.I64(entry.bytes);
-      }
-      w.I64(v.session_bytes_total);
-      w.U8(v.has_scheduler ? 1 : 0);
-      if (v.has_scheduler) {
-        w.I64(v.queue_depth);
-        w.I64(v.submitted);
-        w.I64(v.executed);
-        w.I64(v.shed);
-        w.I64(v.deadline_misses);
-      }
-    }
-  };
-  std::visit(Render{writer}, response.payload);
-  return writer.Framed();
+  out.Fixed(static_cast<uint8_t>(response.payload.index()));
+  std::visit([&](const auto& payload) { Fields(out, payload); },
+             response.payload);
+  return std::move(out).Framed();
 }
 
 util::StatusOr<Response> BinaryCodec::DecodeResponse(
     std::string_view frame) const {
   Response response;
-  ByteReader reader(frame);
+  BinaryIn in(frame);
   uint8_t flags = 0;
-  if (!reader.U8(&flags)) return Truncated();
+  if (!in.Fixed(&flags)) return in.status();
   if ((flags & ~uint8_t{7}) != 0) {
     return util::Status::InvalidArgument(
         "protocol: unknown response flags " + std::to_string(flags));
   }
   const bool ok = (flags & 1) != 0;
-  if (!reader.Str(&response.id)) return Truncated();
+  in.Str("id", response.id);
   if (!ok) {
     uint8_t code = 0;
     std::string message;
-    if (!reader.U8(&code) || !reader.Str(&message)) return Truncated();
-    if (code == 0 ||
-        code > static_cast<uint8_t>(util::Status::Code::kDeadlineExceeded)) {
+    in.Fixed(&code);
+    in.Str("message", message);
+    if (!in.status().ok()) return in.status();
+    if (code == 0 || code >= std::size(kErrorStatus)) {
       return util::Status::InvalidArgument(
           "protocol: unknown status code " + std::to_string(code));
     }
-    response.status = StatusFromCode(static_cast<util::Status::Code>(code),
-                                     std::move(message));
+    response.status = kErrorStatus[code](std::move(message));
   } else if ((flags & 6) != 0) {
     return util::Status::InvalidArgument(
         "protocol: ok response carries error extras");
   }
-  if ((flags & 2) != 0) {
-    PostReport report;
-    uint32_t applied = 0, contradictory = 0, degenerate = 0;
-    if (!reader.U32(&applied) || !reader.U32(&contradictory) ||
-        !reader.U32(&degenerate) || !reader.U64(&report.version)) {
-      return Truncated();
-    }
-    report.applied = static_cast<int>(applied);
-    report.contradictory = static_cast<int>(contradictory);
-    report.degenerate = static_cast<int>(degenerate);
-    response.partial = report;
-  }
+  if ((flags & 2) != 0) Fields(in, response.partial.emplace());
   if ((flags & 4) != 0) {
-    if (!reader.I64(&response.retry_after_ms)) return Truncated();
-    if (response.retry_after_ms < 0) {
+    in.I64("retry_after_ms", response.retry_after_ms);
+    if (in.status().ok() && response.retry_after_ms < 0) {
       return util::Status::InvalidArgument(
           "protocol: negative retry_after_ms");
     }
   }
   uint8_t kind = 0;
-  if (!reader.U8(&kind)) return Truncated();
+  if (!in.Fixed(&kind)) return in.status();
   if (!ok && kind != 0) {
     return util::Status::InvalidArgument(
         "protocol: error response carries a payload");
   }
-  switch (kind) {
-    case 0:
-      break;
-    case 1: {
-      Response::Created created;
-      if (!reader.Str(&created.session)) return Truncated();
-      response.payload = std::move(created);
-      break;
-    }
-    case 2: {
-      Response::Pairs pairs;
-      uint32_t n = 0;
-      if (!reader.U32(&n)) return Truncated();
-      if (n > RequestLimits::kMaxCount) {
-        return util::Status::InvalidArgument(
-            "protocol: pairs payload exceeds " +
-            std::to_string(RequestLimits::kMaxCount));
-      }
-      pairs.pairs.reserve(n);
-      for (uint32_t i = 0; i < n; ++i) {
-        Response::PairScore pair;
-        uint64_t bits = 0;
-        if (!ReadObjectId(reader, &pair.a) || !ReadObjectId(reader, &pair.b) ||
-            !reader.U64(&bits)) {
-          return Truncated();
-        }
-        pair.ei = DoubleFromBits(bits);
-        pairs.pairs.push_back(pair);
-      }
-      response.payload = std::move(pairs);
-      break;
-    }
-    case 3: {
-      PostReport report;
-      uint32_t applied = 0, contradictory = 0, degenerate = 0;
-      if (!reader.U32(&applied) || !reader.U32(&contradictory) ||
-          !reader.U32(&degenerate) || !reader.U64(&report.version)) {
-        return Truncated();
-      }
-      report.applied = static_cast<int>(applied);
-      report.contradictory = static_cast<int>(contradictory);
-      report.degenerate = static_cast<int>(degenerate);
-      response.payload = Response::Posted{report};
-      break;
-    }
-    case 4: {
-      Response::Distribution dist;
-      uint32_t n_sets = 0;
-      if (!reader.U32(&n_sets)) return Truncated();
-      if (n_sets > RequestLimits::kMaxLimit) {
-        return util::Status::InvalidArgument(
-            "protocol: sets payload exceeds " +
-            std::to_string(RequestLimits::kMaxLimit));
-      }
-      dist.sets.reserve(n_sets);
-      for (uint32_t i = 0; i < n_sets; ++i) {
-        Response::RankedSet set;
-        uint32_t n_objects = 0;
-        if (!reader.U32(&n_objects)) return Truncated();
-        // Bound by the frame itself: each object costs 4 bytes.
-        if (static_cast<size_t>(n_objects) * 4 > frame.size()) {
-          return Truncated();
-        }
-        set.objects.reserve(n_objects);
-        for (uint32_t j = 0; j < n_objects; ++j) {
-          model::ObjectId oid = 0;
-          if (!ReadObjectId(reader, &oid)) return Truncated();
-          set.objects.push_back(oid);
-        }
-        uint64_t bits = 0;
-        if (!reader.U64(&bits)) return Truncated();
-        set.p = DoubleFromBits(bits);
-        dist.sets.push_back(std::move(set));
-      }
-      uint64_t entropy_bits = 0;
-      if (!reader.U64(&entropy_bits)) return Truncated();
-      dist.entropy = DoubleFromBits(entropy_bits);
-      response.payload = std::move(dist);
-      break;
-    }
-    case 5: {
-      uint64_t bits = 0;
-      if (!reader.U64(&bits)) return Truncated();
-      response.payload = Response::Quality{DoubleFromBits(bits)};
-      break;
-    }
-    case 6: {
-      Response::Metrics metrics;
-      if (!reader.I64(&metrics.sessions_open)) return Truncated();
-      uint32_t n = 0;
-      if (!reader.U32(&n)) return Truncated();
-      // Each entry costs at least 12 bytes (string header + i64).
-      if (static_cast<size_t>(n) * 12 > frame.size()) return Truncated();
-      metrics.session_bytes.reserve(n);
-      for (uint32_t i = 0; i < n; ++i) {
-        Response::SessionBytes entry;
-        if (!reader.Str(&entry.session) || !reader.I64(&entry.bytes)) {
-          return Truncated();
-        }
-        metrics.session_bytes.push_back(std::move(entry));
-      }
-      if (!reader.I64(&metrics.session_bytes_total)) return Truncated();
-      uint8_t has_scheduler = 0;
-      if (!reader.U8(&has_scheduler)) return Truncated();
-      if (has_scheduler > 1) {
-        return util::Status::InvalidArgument(
-            "protocol: invalid has_scheduler flag");
-      }
-      metrics.has_scheduler = has_scheduler == 1;
-      if (metrics.has_scheduler) {
-        if (!reader.I64(&metrics.queue_depth) ||
-            !reader.I64(&metrics.submitted) ||
-            !reader.I64(&metrics.executed) || !reader.I64(&metrics.shed) ||
-            !reader.I64(&metrics.deadline_misses)) {
-          return Truncated();
-        }
-      }
-      response.payload = std::move(metrics);
-      break;
-    }
-    default:
-      return util::Status::InvalidArgument(
-          "protocol: unknown payload kind " + std::to_string(kind));
+  if (!EmplacePayload(&response.payload, kind)) {
+    return util::Status::InvalidArgument(
+        "protocol: unknown payload kind " + std::to_string(kind));
   }
-  if (!reader.AtEnd()) {
+  std::visit([&](auto& payload) { Fields(in, payload); }, response.payload);
+  if (!in.status().ok()) return in.status();
+  if (!in.AtEnd()) {
     return util::Status::InvalidArgument(
         "protocol: trailing bytes after binary response");
   }

@@ -25,10 +25,21 @@ namespace ptk::serve {
 ///     bit pattern (u64) — a decoded response is bit-identical to the
 ///     encoded one, with no text round-trip loss.
 ///
+/// Both formats come from one description. codec.cc lists each message
+/// body once, in wire order with its JSON keys — the request fields, the
+/// PostReport, each Response::Payload alternative — and four visitors
+/// walk that field table: JSON write, JSON read, binary write, binary
+/// read. Only the envelopes are written per format: the request op, the
+/// JSON "ok"/"error" object, and the binary flags byte.
+///
 /// Both decoders are strict: unknown keys/ops, out-of-range fields
 /// (message.h RequestLimits), truncated or oversized frames, and
 /// trailing bytes inside a frame are InvalidArgument, never silently
-/// ignored. Both are total over arbitrary bytes (fuzz/frame_fuzz.cc).
+/// ignored. Every JSON object follows one rule: keys in any order, each
+/// at most once, unknown keys rejected; a response payload must carry
+/// every field, while an absent request field keeps its default. Both
+/// decoders are total over arbitrary bytes, and each accepts what the
+/// other's encoder writes for it (fuzz/frame_fuzz.cc).
 enum class WireFormat : uint8_t {
   kJsonLines = 0,
   kBinary = 1,

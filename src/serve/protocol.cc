@@ -13,18 +13,16 @@ Response ExecuteRequest(SessionManager& manager, const Scheduler* scheduler,
   response.id = request.id;
   switch (request.op) {
     case Op::kCreateSession: {
-      core::SemanticsId semantics = manager.options().semantics;
+      std::optional<core::SemanticsId> semantics;  // none: the default
       if (!request.semantics.empty()) {
-        const std::optional<core::SemanticsId> resolved =
-            core::SemanticsFromName(request.semantics);
-        if (!resolved.has_value()) {
+        semantics = core::SemanticsFromName(request.semantics);
+        if (!semantics.has_value()) {
           response.status = util::Status::InvalidArgument(
               "unknown ranking semantics '" + request.semantics + "'");
           return response;
         }
-        semantics = *resolved;
       }
-      util::StatusOr<std::string> id = manager.CreateSession(semantics);
+      util::StatusOr<std::string> id = manager.CreateSession("", semantics);
       if (!id.ok()) {
         response.status = id.status();
         return response;

@@ -283,23 +283,21 @@ Response Runtime::ExecuteSingle(int shard_index, const Request& request) {
   if (request.op == Op::kCreateSession) {
     Response response;
     response.id = request.id;
-    core::SemanticsId semantics = shard.manager->options().semantics;
+    std::optional<core::SemanticsId> semantics;  // none: the default
     if (!request.semantics.empty()) {
-      const std::optional<core::SemanticsId> resolved =
-          core::SemanticsFromName(request.semantics);
-      if (!resolved.has_value()) {
+      semantics = core::SemanticsFromName(request.semantics);
+      if (!semantics.has_value()) {
         response.status = util::Status::InvalidArgument(
             "unknown ranking semantics '" + request.semantics + "'");
         return response;
       }
-      semantics = *resolved;
     }
-    const util::Status s =
+    util::StatusOr<std::string> created =
         shard.manager->CreateSession(request.session, semantics);
-    if (!s.ok()) {
-      response.status = s;
+    if (!created.ok()) {
+      response.status = created.status();
     } else {
-      response.payload = Response::Created{request.session};
+      response.payload = Response::Created{*std::move(created)};
     }
     return response;
   }

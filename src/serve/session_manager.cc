@@ -173,55 +173,33 @@ util::Status SessionManager::CreateSessionLocked(
   return util::Status::OK();
 }
 
-util::StatusOr<std::string> SessionManager::CreateSession() {
-  return CreateSession(options_.semantics);
+void SessionManager::AdvanceIdsPast(const std::string& id) {
+  if (id.size() < 2 || id[0] != 's') return;
+  char* end = nullptr;
+  const unsigned long long n = std::strtoull(id.c_str() + 1, &end, 10);
+  if (end != nullptr && *end == '\0' && n >= next_id_) next_id_ = n + 1;
 }
 
 util::StatusOr<std::string> SessionManager::CreateSession(
-    core::SemanticsId semantics) {
+    const std::string& id, std::optional<core::SemanticsId> semantics) {
   static obs::Counter* const created = obs::GetCounter(
       "ptk_serve_sessions_total", "Serving sessions created");
-  std::string id;
+  std::string session_id = id;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    // The id is only consumed on success: a shed create never burns one.
-    id = "s" + std::to_string(next_id_);
-    if (util::Status s = CreateSessionLocked(id, semantics); !s.ok()) {
+    // A generated id is only consumed on success: a shed create never
+    // burns one.
+    if (session_id.empty()) session_id = "s" + std::to_string(next_id_);
+    if (util::Status s = CreateSessionLocked(
+            session_id, semantics.value_or(options_.semantics));
+        !s.ok()) {
       return s;
     }
-    ++next_id_;
+    AdvanceIdsPast(session_id);
   }
   created->Add();
   SessionsOpenGauge()->Add();
-  return id;
-}
-
-util::Status SessionManager::CreateSession(const std::string& id) {
-  return CreateSession(id, options_.semantics);
-}
-
-util::Status SessionManager::CreateSession(const std::string& id,
-                                           core::SemanticsId semantics) {
-  static obs::Counter* const created = obs::GetCounter(
-      "ptk_serve_sessions_total", "Serving sessions created");
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (util::Status s = CreateSessionLocked(id, semantics); !s.ok()) {
-      return s;
-    }
-    // Keep the internal sequence ahead of caller-chosen numeric ids so a
-    // later CreateSession() cannot collide with one.
-    if (id.size() > 1 && id[0] == 's') {
-      char* end = nullptr;
-      const unsigned long long n = std::strtoull(id.c_str() + 1, &end, 10);
-      if (end != nullptr && *end == '\0' && n >= next_id_) {
-        next_id_ = n + 1;
-      }
-    }
-  }
-  created->Add();
-  SessionsOpenGauge()->Add();
-  return util::Status::OK();
+  return session_id;
 }
 
 std::shared_ptr<SessionManager::Session> SessionManager::Find(
@@ -537,10 +515,6 @@ util::Status SessionManager::Close(const std::string& id) {
   return util::Status::OK();
 }
 
-util::StatusOr<int> SessionManager::RecoverSessions() {
-  return RecoverSessions([](const std::string&) { return true; });
-}
-
 util::StatusOr<int> SessionManager::RecoverSessions(
     const std::function<bool(const std::string&)>& filter) {
   static obs::Counter* const recovered_sessions = obs::GetCounter(
@@ -569,7 +543,7 @@ util::StatusOr<int> SessionManager::RecoverSessions(
   int count = 0;
   for (const std::string& id : *ids) {
     // Not this caller's shard: leave the journal on disk untouched.
-    if (!filter(id)) continue;
+    if (filter && !filter(id)) continue;
     obs::ScopedTimer timer(recovery_seconds);
     util::StatusOr<persist::RecoveredSession> recovered =
         persist::SessionStore::OpenExisting(options_.persist.dir, id,
@@ -660,14 +634,7 @@ util::StatusOr<int> SessionManager::RecoverSessions(
     AccountSessionBytes(session.get());
     sessions_.emplace(id, std::move(session));
 
-    // Resume the id sequence past every recovered "s<N>".
-    if (id.size() > 1 && id[0] == 's') {
-      char* end = nullptr;
-      const unsigned long long n = std::strtoull(id.c_str() + 1, &end, 10);
-      if (end != nullptr && *end == '\0' && n >= next_id_) {
-        next_id_ = n + 1;
-      }
-    }
+    AdvanceIdsPast(id);
 
     recovered_sessions->Add();
     SessionsOpenGauge()->Add();

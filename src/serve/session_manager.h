@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -134,29 +135,24 @@ class SessionManager {
   SessionManager(const SessionManager&) = delete;
   SessionManager& operator=(const SessionManager&) = delete;
 
-  /// Opens a session and returns its id ("s1", "s2", ...). Sheds with
-  /// kResourceExhausted once max_sessions are open (close one and retry).
-  util::StatusOr<std::string> CreateSession();
-
-  /// As above, under a caller-chosen ranking objective instead of
-  /// Options::semantics.
-  util::StatusOr<std::string> CreateSession(core::SemanticsId semantics);
-
-  /// Opens a session under a caller-chosen id. The sharded runtime
-  /// (serve/runtime.h) assigns globally sequential ids itself — so the
-  /// id stream is independent of the shard count — and places each one
-  /// in its owning shard through this overload. A currently-open
-  /// duplicate id is InvalidArgument; admission control applies as in
-  /// CreateSession(). Numeric "s<N>" ids advance the manager's own id
-  /// sequence past N, keeping the two entry points collision-free.
-  util::Status CreateSession(const std::string& id);
-
-  /// As above, with a per-session ranking objective overriding
-  /// Options::semantics. The choice is journaled in the session's meta:
-  /// recovery rebuilds the session under the objective it was created
-  /// with, whatever the recovering manager's default.
-  util::Status CreateSession(const std::string& id,
-                             core::SemanticsId semantics);
+  /// Opens a session and returns its id. Sheds with kResourceExhausted
+  /// once max_sessions are open (close one and retry).
+  ///
+  /// An empty `id` takes the manager's next "s<N>" ("s1", "s2", ...). The
+  /// sharded runtime (serve/runtime.h) assigns globally sequential ids
+  /// itself — so the id stream is independent of the shard count — and
+  /// places each one in its owning shard by passing it here. A
+  /// currently-open duplicate id is InvalidArgument. A caller-chosen
+  /// numeric "s<N>" advances the manager's own sequence past N, so the
+  /// two kinds of id never collide.
+  ///
+  /// `semantics` overrides Options::semantics for this session. The
+  /// choice is journaled in the session's meta: recovery rebuilds the
+  /// session under the objective it was created with, whatever the
+  /// recovering manager's default.
+  util::StatusOr<std::string> CreateSession(
+      const std::string& id = "",
+      std::optional<core::SemanticsId> semantics = std::nullopt);
 
   /// Rebuilds every session journaled under Options::persist.dir: restores
   /// each one's latest snapshot, replays the WAL records past it through
@@ -166,19 +162,17 @@ class SessionManager {
   /// state), repairs torn WAL tails, and resumes the id sequence past the
   /// recovered ids. Returns the number of sessions recovered.
   ///
+  /// A non-null `filter` restricts recovery to the journaled ids it
+  /// accepts — how a sharded runtime routes each persisted session to the
+  /// one manager that owns it (ids it refuses are left on disk, untouched,
+  /// for the other shards).
+  ///
   /// Only valid on a fresh manager (before any CreateSession) with
   /// persistence configured; kFailedPrecondition otherwise, and kIoError /
   /// kInternal when a journal is unreadable or inconsistent with this
   /// manager's database and options (fingerprint or config mismatch).
-  util::StatusOr<int> RecoverSessions();
-
-  /// Recovery restricted to the journaled ids the predicate accepts —
-  /// how a sharded runtime routes each persisted session to the one
-  /// manager that owns it (ids failing the predicate are left on disk,
-  /// untouched, for the other shards). Same preconditions as the
-  /// unfiltered overload.
   util::StatusOr<int> RecoverSessions(
-      const std::function<bool(const std::string&)>& filter);
+      const std::function<bool(const std::string&)>& filter = nullptr);
 
   /// Selects up to `count` not-yet-asked pairs for the session, best
   /// first, and marks them as posted (a repeated call keeps walking down
@@ -187,10 +181,6 @@ class SessionManager {
   /// kCancelled when the session's cancel token fires mid-selection.
   util::StatusOr<std::vector<core::ScoredPair>> NextPairs(
       const std::string& id, int count);
-
-  /// Outcome tally of one PostAnswers batch. Now protocol surface
-  /// (serve/message.h); the nested name stays as the historical spelling.
-  using PostReport = serve::PostReport;
 
   /// Folds crowd answers — each pair is (smaller, larger): the first
   /// object ranks above (is smaller than) the second — into the session's
@@ -316,9 +306,13 @@ class SessionManager {
   std::shared_ptr<Session> Find(const std::string& id) const;
 
   /// Admission check + table insert under mu_ (held by caller) for the
-  /// given id; shared by every CreateSession entry point.
+  /// given id.
   util::Status CreateSessionLocked(const std::string& id,
                                    core::SemanticsId semantics);
+
+  /// Moves the id sequence past a numeric "s<N>" id (caller holds mu_),
+  /// so a later generated id never collides with it.
+  void AdvanceIdsPast(const std::string& id);
 
   /// Folds one batch's answers into the session (caller holds
   /// session->mu), journaling each one — the per-answer core both

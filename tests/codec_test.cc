@@ -227,6 +227,140 @@ TEST(CodecTest, CrossCodecEquivalence) {
   }
 }
 
+std::string Hex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (const unsigned char c : bytes) {
+    hex += kDigits[c >> 4];
+    hex += kDigits[c & 0xf];
+  }
+  return hex;
+}
+
+// The exact wire bytes of every sample value, JSON text and binary frame
+// (length prefix included, as hex). The round-trip tests above would
+// still pass if an encoder and its decoder moved a field together; these
+// pin the layout itself.
+TEST(CodecTest, SampleEncodingsArePinned) {
+  struct Pinned {
+    const char* json;
+    const char* binary_hex;
+  };
+  const Pinned kRequests[] = {
+      {"{\"op\":\"create_session\",\"id\":\"c1\"}\n",
+       "27000000000200000063310000000001000000000000000000000000"
+       "000000000000000000000000000000"},
+      {"{\"op\":\"create_session\",\"id\":\"c2\""
+       ",\"semantics\":\"expected_rank\"}\n",
+       "39000000000200000063320000000001000000000000000000000000"
+       "000000000000000000000000000000010d0000006578706563746564"
+       "5f72616e6b"},
+      {"{\"op\":\"next_pairs\",\"id\":\"n1\",\"session\":\"s1\""
+       ",\"count\":7,\"deadline_ms\":250}\n",
+       "2900000001020000006e310200000073310700000000000000000000"
+       "0000000000fa0000000000000000000000"},
+      {"{\"op\":\"post_answers\""
+       ",\"id\":\"a \\\"quoted\\\"\\ttag\",\"session\":\"s2\""
+       ",\"answers\":[[2,0],[1,3],[0,4]]}\n",
+       "4d000000020e00000061202271756f74656422097461670200000073"
+       "32010000000000000000000000000000000000000000000000030000"
+       "00020000000000000001000000030000000000000004000000"},
+      {"{\"op\":\"distribution\",\"session\":\"s3\""
+       ",\"limit\":12}\n",
+       "27000000030000000002000000733301000000000000000c00000000"
+       "000000000000000000000000000000"},
+      {"{\"op\":\"quality\",\"session\":\"s1\"}\n",
+       "27000000040000000002000000733101000000000000000000000000"
+       "000000000000000000000000000000"},
+      {"{\"op\":\"metrics\",\"id\":\"m\"}\n",
+       "2600000005010000006d000000000100000000000000000000000000"
+       "0000000000000000000000000000"},
+      {"{\"op\":\"close\",\"session\":\"s1\"}\n",
+       "27000000060000000002000000733101000000000000000000000000"
+       "000000000000000000000000000000"},
+  };
+  const Pinned kResponses[] = {
+      {"{\"id\":\"c1\",\"ok\":true,\"session\":\"s1\"}\n",
+       "0e0000000102000000633101020000007331"},
+      {"{\"id\":\"n1\",\"ok\":true,\"pairs\":[[2,1,0.3],[0,3"
+       ",4.94065646e-324],[4,5,1e+300]]}\n",
+       "3c00000001020000006e310203000000020000000100000034333333"
+       "3333d33f000000000300000001000000000000000400000005000000"
+       "9c7500883ce4377e"},
+      {"{\"id\":\"a1\",\"ok\":true,\"applied\":3"
+       ",\"contradictory\":1,\"degenerate\":0,\"version\":42}\n",
+       "1c00000001020000006131030300000001000000000000002a000000"
+       "00000000"},
+      {"{\"ok\":true,\"sets\":[{\"objects\":[0,2],\"p\":0.8}"
+       ",{\"objects\":[1,2],\"p\":0.2}]"
+       ",\"entropy\":0.500402424}\n",
+       "3a000000010000000004020000000200000000000000020000009a99"
+       "99999999e93f0200000001000000020000009a9999999999c93f18ac"
+       "def14b03e03f"},
+      {"{\"id\":\"q\",\"ok\":true,\"quality\":0.333333333}\n",
+       "0f00000001010000007105555555555555d53f"},
+      {"{\"ok\":true,\"sessions_open\":2"
+       ",\"session_bytes\":{\"s1\":128,\"s2\":0}"
+       ",\"session_bytes_total\":128,\"queue_depth\":1"
+       ",\"submitted\":9,\"executed\":8,\"shed\":0"
+       ",\"deadline_misses\":0}\n",
+       "5f000000010000000006020000000000000002000000020000007331"
+       "80000000000000000200000073320000000000000000800000000000"
+       "00000101000000000000000900000000000000080000000000000000"
+       "000000000000000000000000000000"},
+      {"{\"id\":\"g\",\"ok\":true}\n",
+       "0700000001010000006700"},
+      {"{\"id\":\"h\",\"ok\":false"
+       ",\"error\":{\"code\":\"NotFound\""
+       ",\"message\":\"unknown session 's9'\"}}\n",
+       "200000000001000000680214000000756e6b6e6f776e207365737369"
+       "6f6e202773392700"},
+      {"{\"id\":\"p\",\"ok\":false"
+       ",\"error\":{\"code\":\"InvalidArgument\""
+       ",\"message\":\"post_answers: contradictory answer\""
+       ",\"partial\":{\"applied\":2,\"contradictory\":1"
+       ",\"degenerate\":0,\"version\":7}}}\n",
+       "420000000201000000700122000000706f73745f616e73776572733a"
+       "20636f6e747261646963746f727920616e7377657202000000010000"
+       "0000000000070000000000000000"},
+      {"{\"id\":\"r\",\"ok\":false"
+       ",\"error\":{\"code\":\"ResourceExhausted\""
+       ",\"message\":\"request queue full (32 waiting); retry after "
+       "in-flight requests drain\""
+       ",\"retry_after_ms\":5}}\n",
+       "59000000040100000072034500000072657175657374207175657565"
+       "2066756c6c202833322077616974696e67293b207265747279206166"
+       "74657220696e2d666c6967687420726571756573747320647261696e"
+       "050000000000000000"},
+  };
+  const std::vector<Request> requests = SampleRequests();
+  ASSERT_EQ(requests.size(), std::size(kRequests));
+  for (size_t i = 0; i < requests.size(); ++i) {
+    EXPECT_EQ(Json().EncodeRequest(requests[i]), kRequests[i].json) << i;
+    EXPECT_EQ(Hex(Binary().EncodeRequest(requests[i])),
+              kRequests[i].binary_hex)
+        << i;
+  }
+  const std::vector<Response> responses = SampleResponses();
+  ASSERT_EQ(responses.size(), std::size(kResponses));
+  for (size_t i = 0; i < responses.size(); ++i) {
+    EXPECT_EQ(Json().EncodeResponse(responses[i]), kResponses[i].json) << i;
+    EXPECT_EQ(Hex(Binary().EncodeResponse(responses[i])),
+              kResponses[i].binary_hex)
+        << i;
+  }
+
+  // codec.h: a failed decode still carries the id when it was decoded
+  // before the error, so the error response can echo it.
+  for (const char* line :
+       {R"({"op":"quality","id":"t1","count":"x"})",
+        R"({"op":"quality","id":"t1",)"}) {
+    Request request;
+    EXPECT_FALSE(Json().DecodeRequest(line, &request).ok()) << line;
+    EXPECT_EQ(request.id, "t1") << line;
+  }
+}
+
 TEST(CodecTest, JsonRendersLegacyErrorExtras) {
   Response shed;
   shed.id = "r";
@@ -286,6 +420,91 @@ TEST(CodecTest, JsonDecodeIsSymmetricWithEncodeOnEdgeCases) {
                                    "{\"applied\":0,\"contradictory\":0,"
                                    "\"degenerate\":0,\"version\":-2}}}")
                    .ok());
+}
+
+// One rule for every JSON object: keys in any order, each at most once,
+// unknown keys rejected. Every response payload field is required (the
+// metrics scheduler block all or nothing); request fields keep their
+// defaults when absent.
+TEST(CodecTest, JsonObjectsTakeEachKeyAtMostOnce) {
+  const char* const bad_responses[] = {
+      R"({"ok":true,"applied":1,"applied":1,"applied":1,"applied":1})",
+      R"({"ok":true,"sessions_open":1,"session_bytes":{},)"
+      R"("session_bytes_total":0,"shed":1,"shed":1,"shed":1,"shed":1,)"
+      R"("shed":1})",
+      R"({"ok":true,"sessions_open":3})",
+      R"({"ok":false,"ok":true,"quality":0.5})",
+      R"({"id":"a","id":"b","ok":true})",
+      R"({"ok":true,"quality":0.5,"quality":0.25})",
+      R"({"ok":true,"applied":1,"contradictory":0,"degenerate":0})",
+      R"({"ok":true,"sets":[]})",
+      R"({"ok":true,"sets":[{"objects":[1],"objects":[1],"p":1}],)"
+      R"("entropy":0})",
+      R"({"ok":false,"error":{"code":"NotFound","code":"NotFound",)"
+      R"("message":"m"}})",
+      R"({"ok":false,"error":{"code":"Internal","message":"m",)"
+      R"("partial":{"applied":1,"contradictory":0,"degenerate":0,)"
+      R"("version":1,"version":2}}})",
+  };
+  for (const char* line : bad_responses) {
+    EXPECT_FALSE(Json().DecodeResponse(line).ok()) << line;
+  }
+  const char* const bad_requests[] = {
+      R"({"op":"quality","op":"metrics"})",
+      R"({"op":"next_pairs","session":"s1","count":2,"count":3})",
+      R"({"op":"quality","session":"s1","session":"s2"})",
+  };
+  for (const char* line : bad_requests) {
+    Request request;
+    EXPECT_EQ(Json().DecodeRequest(line, &request).code(),
+              Status::Code::kInvalidArgument)
+        << line;
+  }
+
+  // Any order is fine, nested objects included.
+  StatusOr<Response> posted = Json().DecodeResponse(
+      R"({"version":3,"degenerate":0,"ok":true,"contradictory":0,)"
+      R"("applied":1,"id":"z"})");
+  ASSERT_TRUE(posted.ok()) << posted.status().ToString();
+  EXPECT_EQ(posted->id, "z");
+  EXPECT_EQ(std::get<Response::Posted>(posted->payload).report,
+            (serve::PostReport{1, 0, 0, 3}));
+  StatusOr<Response> dist = Json().DecodeResponse(
+      R"({"ok":true,"entropy":0,"sets":[{"p":1,"objects":[4,2]}]})");
+  ASSERT_TRUE(dist.ok()) << dist.status().ToString();
+  const auto& sets = std::get<Response::Distribution>(dist->payload).sets;
+  ASSERT_EQ(sets.size(), 1u);
+  EXPECT_EQ(sets[0].objects, (std::vector<model::ObjectId>{4, 2}));
+  Request request;
+  ASSERT_TRUE(
+      Json().DecodeRequest(R"({"session":"s1","op":"next_pairs"})", &request)
+          .ok());
+  EXPECT_EQ(request.count, 1);
+}
+
+// The JSON decoder reads every u64 the encoder writes: a version of 2^63
+// or more arriving over binary must survive a JSON re-encode (what
+// ptk_wire decode-responses does).
+TEST(CodecTest, JsonReadsEveryU64ItWrites) {
+  for (const uint64_t version :
+       {uint64_t{1} << 63, std::numeric_limits<uint64_t>::max()}) {
+    Response posted;
+    posted.payload = Response::Posted{{1, 0, 0, version}};
+    Response partial;
+    partial.status = Status::InvalidArgument("contradictory answer");
+    partial.partial = serve::PostReport{1, 0, 0, version};
+    for (const Response& response : {posted, partial}) {
+      StatusOr<Response> via_binary = Binary().DecodeResponse(
+          OneFrame(Binary(), Binary().EncodeResponse(response)));
+      ASSERT_TRUE(via_binary.ok()) << via_binary.status().ToString();
+      const std::string json = Json().EncodeResponse(*via_binary);
+      StatusOr<Response> via_json =
+          Json().DecodeResponse(OneFrame(Json(), json));
+      ASSERT_TRUE(via_json.ok())
+          << via_json.status().ToString() << " encoding: " << json;
+      EXPECT_TRUE(serve::SameResponse(*via_json, response)) << json;
+    }
+  }
 }
 
 TEST(CodecTest, BinaryCarriesDoublesBitExactly) {

@@ -12,6 +12,7 @@
 #include <functional>
 #include <memory>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -24,6 +25,7 @@
 #include "crowd/crowd_model.h"
 #include "crowd/session.h"
 #include "model/database_overlay.h"
+#include "obs/metrics.h"
 #include "pbtree/bound_object.h"
 #include "pbtree/delta_tree.h"
 #include "pbtree/pbtree.h"
@@ -101,7 +103,7 @@ std::vector<double> SelectedEis(const std::vector<core::ScoredPair>& pairs) {
 // Runs one engine selector and its from-scratch twin and compares. The
 // scratch twin rebuilds everything: database, membership, PB-tree.
 void ExpectSelectorMatches(engine::RankingEngine& eng,
-                           engine::SelectorKind kind,
+                           core::SelectorKind kind,
                            const model::Database& rebuilt, int t) {
   std::unique_ptr<core::PairSelector> incremental = eng.MakeSelector(kind);
   std::vector<core::ScoredPair> inc_pairs;
@@ -129,7 +131,7 @@ void ExpectSelectorMatches(engine::RankingEngine& eng,
   // The equivalence claim is therefore value equality (and, where scores
   // cannot tie, pair identity), not blanket pair identity.
   switch (kind) {
-    case engine::SelectorKind::kBruteForce: {
+    case core::SelectorKind::kBruteForce: {
       // Equal exact-EI sequences, and each engine-selected pair's EI must
       // reproduce on the rebuilt database.
       const core::QualityEvaluator scratch_eval(rebuilt, options.k,
@@ -147,14 +149,14 @@ void ExpectSelectorMatches(engine::RankingEngine& eng,
       }
       break;
     }
-    case engine::SelectorKind::kRand:
+    case core::SelectorKind::kRand:
       // Pure seeded oid sampling — bit-identical pairs.
       for (size_t i = 0; i < inc_pairs.size(); ++i) {
         EXPECT_EQ(inc_pairs[i].a, scr_pairs[i].a) << "RAND pair " << i;
         EXPECT_EQ(inc_pairs[i].b, scr_pairs[i].b) << "RAND pair " << i;
       }
       break;
-    case engine::SelectorKind::kRandK: {
+    case core::SelectorKind::kRandK: {
       // The pool ranks objects by membership; near-ties may reorder it, so
       // pin the semantics instead: every selected object's rebuilt-side
       // membership must clear the rebuilt pool threshold (within the
@@ -264,7 +266,7 @@ TEST(EngineEquivalence, RandomFoldSequencesMatchScratchRecompute) {
     }
 
     const model::Database rebuilt = ScratchRebuild(eng.working_db());
-    for (engine::SelectorKind kind : engine::AllSelectorKinds()) {
+    for (core::SelectorKind kind : core::AllSelectorKinds()) {
       ExpectSelectorMatches(eng, kind, rebuilt, /*t=*/2);
     }
   }
@@ -451,6 +453,45 @@ TEST(RankingEngineTest, DistributionIsMemoizedPerVersion) {
   EXPECT_EQ(eng.counters().distribution_hits, 3);
 }
 
+#if PTK_METRICS
+// One memo per constraint-set version serves Quality() under every
+// objective. ptk_engine_semantics_evals_total counts only the objectives
+// that do not read the distribution (entropy's quality is the memoized
+// distribution's entropy, counted by the enumeration counter instead).
+TEST(RankingEngineTest, OneMemoServesEveryObjective) {
+  const model::Database base = testing::PaperExampleDb();
+  for (const core::SemanticsId id :
+       {core::SemanticsId::kEntropy, core::SemanticsId::kExpectedRank,
+        core::SemanticsId::kUKRanks}) {
+    engine::RankingEngine::Options options;
+    options.k = 2;
+    options.semantics = id;
+    engine::RankingEngine eng(base, options);
+    const std::string counter_name =
+        "ptk_engine_semantics_evals_total{semantics=\"" +
+        std::string(eng.semantics().name()) + "\"}";
+    obs::Counter* evals = obs::GetCounter(counter_name, "");
+    const int64_t evals_before = evals->Value();
+    const bool reads_distribution = eng.semantics().needs_distribution();
+
+    ASSERT_TRUE(eng.Quality().ok());
+    ASSERT_TRUE(eng.Quality().ok());
+    EXPECT_EQ(evals->Value() - evals_before, reads_distribution ? 0 : 1)
+        << counter_name;
+    EXPECT_EQ(eng.counters().enumerations, reads_distribution ? 1 : 0);
+    EXPECT_EQ(eng.counters().distribution_hits, 1);
+
+    engine::RankingEngine::FoldOutcome outcome;
+    ASSERT_TRUE(eng.Fold(2, 0, /*update_working=*/false, &outcome).ok());
+    ASSERT_EQ(outcome, engine::RankingEngine::FoldOutcome::kApplied);
+    ASSERT_TRUE(eng.Quality().ok());
+    EXPECT_EQ(evals->Value() - evals_before, reads_distribution ? 0 : 2)
+        << counter_name;
+    EXPECT_EQ(eng.counters().enumerations, reads_distribution ? 2 : 0);
+  }
+}
+#endif  // PTK_METRICS
+
 // Satellite 2 (session side): CurrentDistribution between rounds serves
 // the engine's memo — the enumeration count must not grow.
 TEST(CleaningSessionTest, CurrentDistributionIsMemoized) {
@@ -516,13 +557,13 @@ TEST(AdaptiveCleanerTest, WorkingDatabaseIsStableAcrossSteps) {
 }
 
 TEST(SelectorKindTest, NamesRoundTrip) {
-  for (engine::SelectorKind kind : engine::AllSelectorKinds()) {
+  for (core::SelectorKind kind : core::AllSelectorKinds()) {
     const auto parsed =
-        engine::SelectorKindFromName(engine::SelectorKindName(kind));
+        core::SelectorKindFromName(core::SelectorKindName(kind));
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, kind);
   }
-  EXPECT_FALSE(engine::SelectorKindFromName("nope").has_value());
+  EXPECT_FALSE(core::SelectorKindFromName("nope").has_value());
 }
 
 }  // namespace

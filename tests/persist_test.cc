@@ -443,7 +443,7 @@ void RunRounds(serve::SessionManager& manager, const model::Database& db,
   for (int round = 0; round < rounds; ++round) {
     StatusOr<std::vector<core::ScoredPair>> pairs = manager.NextPairs(id, 2);
     ASSERT_TRUE(pairs.ok()) << pairs.status().ToString();
-    serve::SessionManager::PostReport report;
+    serve::PostReport report;
     ASSERT_TRUE(
         manager.PostAnswers(id, AnswerByExpectation(db, *pairs), &report)
             .ok());
@@ -563,7 +563,7 @@ TEST(ManagerPersistTest, ContradictoryAnswersReplayIdentically) {
   const model::Database db = TestDb();
   TempDir dir("contra");
   std::string session_id;
-  serve::SessionManager::PostReport first;
+  serve::PostReport first;
   {
     serve::SessionManager manager(db, PersistOptions(dir.path, false));
     StatusOr<std::string> id = manager.CreateSession();
@@ -580,7 +580,7 @@ TEST(ManagerPersistTest, ContradictoryAnswersReplayIdentically) {
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   // Re-posting the contradiction after recovery is rejected exactly as a
   // continuous session would reject it.
-  serve::SessionManager::PostReport again;
+  serve::PostReport again;
   ASSERT_TRUE(manager.PostAnswers(session_id, {{1, 0}}, &again).ok());
   EXPECT_EQ(again.applied, 0);
   EXPECT_EQ(again.contradictory, 1);
@@ -686,7 +686,7 @@ TEST(ManagerPersistTest, ExpectedRankKillRestartIsBitIdentical) {
     options.persist.dir.clear();
     serve::SessionManager manager(db, options);
     StatusOr<std::string> id =
-        manager.CreateSession(core::SemanticsId::kExpectedRank);
+        manager.CreateSession("", core::SemanticsId::kExpectedRank);
     ASSERT_TRUE(id.ok());
     RunRounds(manager, db, *id, kRoundsBefore + kRoundsAfter, &golden);
   }
@@ -696,7 +696,7 @@ TEST(ManagerPersistTest, ExpectedRankKillRestartIsBitIdentical) {
   {
     serve::SessionManager manager(db, PersistOptions(dir.path, false));
     StatusOr<std::string> id =
-        manager.CreateSession(core::SemanticsId::kExpectedRank);
+        manager.CreateSession("", core::SemanticsId::kExpectedRank);
     ASSERT_TRUE(id.ok()) << id.status().ToString();
     session_id = *id;
     SessionState ignored;
@@ -807,14 +807,14 @@ TEST(RegressionTest, PostAnswersReportsPartialBatchProgress) {
   serve::SessionManager manager(db, options);
   StatusOr<std::string> id = manager.CreateSession();
   ASSERT_TRUE(id.ok());
-  serve::SessionManager::PostReport report;
+  serve::PostReport report;
   const Status status = manager.PostAnswers(
       *id, {{0, 1}, {9999, 0}, {2, 3}}, &report);
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(report.applied, 1);       // the answer before the bad one took
   EXPECT_EQ(report.version, 1u);      // ...and bumped the version
   // The folded prefix is real session state, not rolled back.
-  serve::SessionManager::PostReport repeat;
+  serve::PostReport repeat;
   ASSERT_TRUE(manager.PostAnswers(*id, {{1, 0}}, &repeat).ok());
   EXPECT_EQ(repeat.contradictory, 1);
 }

@@ -258,7 +258,7 @@ TEST(RuntimeTest, PostsMergeBehindABusySession) {
   serve::SessionManager baseline(db, GatedOptions(&gate).manager);
   ASSERT_TRUE(baseline.CreateSession().ok());  // "s1"
   for (int i = 0; i < 3; ++i) {
-    serve::SessionManager::PostReport expected;
+    serve::PostReport expected;
     ASSERT_TRUE(baseline.PostAnswers("s1", folds[i], &expected).ok());
     const Response& response = late[i + 1];
     ASSERT_TRUE(response.status.ok()) << response.status.ToString();

@@ -83,7 +83,7 @@ Status RunScript(serve::SessionManager& manager, const model::Database& db,
   for (int round = 0; round < rounds; ++round) {
     StatusOr<std::vector<core::ScoredPair>> pairs = manager.NextPairs(id, 2);
     if (!pairs.ok()) return pairs.status();
-    serve::SessionManager::PostReport report;
+    serve::PostReport report;
     if (Status s = manager.PostAnswers(id, AnswerByExpectation(db, *pairs),
                                        &report);
         !s.ok()) {

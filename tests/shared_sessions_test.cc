@@ -72,7 +72,7 @@ Status RunScript(serve::SessionManager& manager, int session_index,
     const auto key = std::minmax((*pairs)[0].a, (*pairs)[0].b);
     result->picked.emplace_back(key.first, key.second);
     const bool forward = (session_index + round) % 2 == 0;
-    serve::SessionManager::PostReport report;
+    serve::PostReport report;
     const std::pair<model::ObjectId, model::ObjectId> answer =
         forward ? std::make_pair(key.first, key.second)
                 : std::make_pair(key.second, key.first);

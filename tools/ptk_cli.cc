@@ -268,7 +268,7 @@ int RunSelect(const ptk::model::Database& db, int k, int quota,
   const auto kind =
       ptk::core::SelectorKindFromName(name == nullptr ? "OPT" : name);
   if (!kind.has_value()) return Usage();
-  if (*kind == ptk::engine::SelectorKind::kHrs2) {
+  if (*kind == ptk::core::SelectorKind::kHrs2) {
     options.candidate_pool = 4 * quota;
   }
   ptk::engine::RankingEngine engine(db, options);
