@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the library's hot kernels:
 // pairwise probability, membership scans, Δ bounds, PB-tree construction,
-// the top-k enumerator, and the parallel selection/sampling paths. These
+// the top-k enumerator, the parallel selection/sampling paths, and
+// rescored selection under the non-default ranking semantics. These
 // are the building blocks whose costs compose into the Figs. 12-13
 // end-to-end numbers. Set PTK_BENCH_JSON=<path> to also write the results
 // as a JSON array (see bench/harness.h).
@@ -15,7 +16,10 @@
 #include "core/bound_selector.h"
 #include "core/brute_force_selector.h"
 #include "core/delta_bounds.h"
+#include "core/semantics.h"
+#include "crowd/crowd_model.h"
 #include "data/synthetic.h"
+#include "engine/ranking_engine.h"
 #include "harness.h"
 #include "pbtree/pair_stream.h"
 #include "pbtree/pbtree.h"
@@ -348,6 +352,56 @@ void BM_BoundObjectConstruction(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BoundObjectConstruction);
+
+// One next_pairs of an expected_rank (semantics:1) or ukranks
+// (semantics:2) session: RescoredSelector::SelectPairs(3) over OPT's
+// candidate pool, after two rounds of three folds answered as a sampled
+// world orders the pairs. The catalog has the perfbench clean_semantics
+// shape (SYN, 3 instances in clusters of width 50 inside [0, 5000],
+// k = 5) at growing m, so the time shows how selection scales with the
+// catalog while the session's answers stay fixed.
+void BM_SemanticsSelect(benchmark::State& state) {
+  ptk::data::SynOptions syn;
+  syn.num_objects = static_cast<int>(state.range(1));
+  syn.value_range = 5000.0;
+  syn.seed = 6;
+  const ptk::model::Database db = ptk::data::MakeSynDataset(syn);
+  ptk::engine::RankingEngine::Options options;
+  options.k = 5;
+  options.semantics = static_cast<ptk::core::SemanticsId>(state.range(0));
+  ptk::engine::RankingEngine engine(db, options);
+  const std::vector<double> world = ptk::crowd::SampleWorldValues(db, 1);
+  for (int round = 0; round < 2; ++round) {
+    std::vector<ptk::core::ScoredPair> picks;
+    auto s = engine.MakeSelector(ptk::core::SelectorKind::kOpt)
+                 ->SelectPairs(3, &picks);
+    for (const ptk::core::ScoredPair& p : picks) {
+      const bool a_first = world[p.a] < world[p.b];
+      ptk::engine::RankingEngine::FoldOutcome outcome;
+      if (s.ok()) {
+        s = engine.Fold(a_first ? p.a : p.b, a_first ? p.b : p.a, false,
+                        &outcome);
+      }
+    }
+    if (!s.ok()) state.SkipWithError(s.ToString().c_str());
+  }
+  // A session reads its quality between rounds.
+  if (!engine.Quality().ok()) state.SkipWithError("quality failed");
+  for (auto _ : state) {
+    state.PauseTiming();
+    const std::unique_ptr<ptk::core::PairSelector> selector =
+        engine.MakeSelector(ptk::core::SelectorKind::kOpt);
+    state.ResumeTiming();
+    std::vector<ptk::core::ScoredPair> out;
+    const auto s = selector->SelectPairs(3, &out);
+    if (!s.ok()) state.SkipWithError(s.ToString().c_str());
+    benchmark::DoNotOptimize(out);
+  }
+}
+BENCHMARK(BM_SemanticsSelect)
+    ->ArgNames({"semantics", "m"})
+    ->ArgsProduct({{1, 2}, {1000, 4000, 16000}})
+    ->Unit(benchmark::kMillisecond);
 
 // Extracts an "/name:123" argument from a benchmark's display name
 // ("BM_X/m:24/threads:8"); returns fallback when absent.

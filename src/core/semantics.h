@@ -1,8 +1,10 @@
 #ifndef PTK_CORE_SEMANTICS_H_
 #define PTK_CORE_SEMANTICS_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -101,6 +103,12 @@ class RankingSemantics {
   /// Drops all memoized state (working copy replaced or restored).
   virtual void Invalidate() = 0;
 
+  /// Heap bytes of the state this objective keeps for its session — the
+  /// memo OnFold/Invalidate manage. O(answers folded) for every objective
+  /// (0 for entropy, whose distribution memo the engine owns); shared
+  /// per-catalog state such as the ExpectedRankTable is not charged.
+  virtual int64_t MemoryBytes() const = 0;
+
   /// The scalar the cleaner minimizes; lower is better, 0 = certain.
   virtual double Uncertainty(const SemanticsContext& ctx) = 0;
 
@@ -119,9 +127,52 @@ class RankingSemantics {
                                                  model::ObjectId b) = 0;
 };
 
+/// The expected_rank objective's per-catalog sweep table (DESIGN.md
+/// §4.16). Each pair term of that objective factors over positions,
+///   g(1-g) = Σ_{i,i'} p_xi·p_xi'·F_y(pos_xi)·S_y(pos_xi'),
+/// with F_y / S_y the mass y places before / after a position, so one
+/// Fenwick sweep over the base sorted index yields, per object x, the
+/// n_x × n_x block Q_x[i][i'] = Σ_{y≠x} F_y(pos_xi)·S_y(pos_xi') and the
+/// base uncertainty Σ_x p_xᵀ·Q_x·p_x. It depends on the base database
+/// alone: the serving layer creates one holder per catalog and hands it
+/// to every session's engine (RankingEngine::Options::shared_rank_table),
+/// the first expected_rank evaluation builds it — O(N log N) time,
+/// Σ n_x² doubles — and from then on it is read-only. Thread-safe.
+class ExpectedRankTable {
+ public:
+  struct Sweep {
+    std::vector<size_t> offset;  // per object: start of its block
+    std::vector<double> blocks;  // Q_x, row-major n_x × n_x, back to back
+    double total = 0.0;          // Σ_x p_xᵀ·Q_x·p_x on base marginals
+
+    const double* Block(model::ObjectId x) const {
+      return blocks.data() + offset[x];
+    }
+  };
+
+  /// Binds the holder to `base` (finalized, outliving the holder); builds
+  /// nothing yet.
+  explicit ExpectedRankTable(const model::Database& base) : base_(&base) {}
+
+  const model::Database& base() const { return *base_; }
+
+  /// The table, built on the first call; concurrent first callers wait
+  /// for the one build.
+  const Sweep& Get() const;
+
+ private:
+  const model::Database* base_;
+  mutable std::once_flag built_;
+  mutable Sweep sweep_;
+};
+
 /// Factory: a fresh (stateful) objective instance. One per engine — the
-/// memoized state tracks that engine's working copy.
-std::unique_ptr<RankingSemantics> MakeSemantics(SemanticsId id);
+/// memoized state tracks that engine's working copy. `rank_table` is the
+/// catalog's shared expected_rank table; that objective builds a private
+/// one on first use when it is null or bound to another database, and the
+/// other objectives ignore it.
+std::unique_ptr<RankingSemantics> MakeSemantics(
+    SemanticsId id, std::shared_ptr<ExpectedRankTable> rank_table = nullptr);
 
 /// Selector adapter for non-default objectives: asks the wrapped selector
 /// for a candidate pool (at least `candidate_pool` pairs), rescores every

@@ -56,7 +56,8 @@ RankingEngine::RankingEngine(const model::Database& db, const Options& options)
       options_(options),
       evaluator_(db, options.k, options.order, options.enumerator),
       overlay_(db),
-      semantics_(core::MakeSemantics(options.semantics)) {}
+      semantics_(core::MakeSemantics(options.semantics,
+                                     options.shared_rank_table)) {}
 
 void RankingEngine::PrepareWorkingCopy() { overlay_.Materialize(); }
 
@@ -131,6 +132,7 @@ RankingEngine::MemoryFootprint RankingEngine::DeltaMemory() const {
   if (delta_tree_ != nullptr) {
     footprint.tree_bytes = delta_tree_->delta_bytes();
   }
+  footprint.semantics_bytes = semantics_->MemoryBytes();
   return footprint;
 }
 

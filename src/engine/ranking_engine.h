@@ -97,6 +97,13 @@ class RankingEngine {
     /// across sessions by the serving runtime (one reclamation domain per
     /// catalog); an engine without one lazily owns a private manager.
     std::shared_ptr<util::EpochManager> epochs;
+
+    /// The catalog's expected_rank sweep table (core/semantics.h), built by
+    /// the first expected_rank evaluation of any engine holding it. The
+    /// serving runtime hands one holder to every session; the other
+    /// objectives never touch it. An engine given none (or one bound to
+    /// another database) builds a private table on first use.
+    std::shared_ptr<core::ExpectedRankTable> shared_rank_table;
   };
 
   /// What Fold did with an answer.
@@ -144,14 +151,17 @@ class RankingEngine {
   const pbtree::TreeReader& tree();
 
   /// Per-engine delta memory: bytes attributable to this session's
-  /// overlay overrides, membership delta columns, and tree node copies.
-  /// O(answers folded); stays 0 until the first update_working fold.
+  /// overlay overrides, membership delta columns, tree node copies, and
+  /// the active objective's memo (RankingSemantics::MemoryBytes; always 0
+  /// for entropy). O(answers folded); the overlay, membership and tree
+  /// parts stay 0 until the first update_working fold.
   struct MemoryFootprint {
     int64_t overlay_bytes = 0;
     int64_t membership_bytes = 0;
     int64_t tree_bytes = 0;
+    int64_t semantics_bytes = 0;
     int64_t total() const {
-      return overlay_bytes + membership_bytes + tree_bytes;
+      return overlay_bytes + membership_bytes + tree_bytes + semantics_bytes;
     }
   };
   MemoryFootprint DeltaMemory() const;

@@ -27,7 +27,7 @@ obs::Gauge* SessionBytesGauge() {
   static obs::Gauge* const gauge = obs::GetGauge(
       "ptk_serve_session_bytes",
       "Per-session delta memory (overlay + membership columns + tree "
-      "copies) summed over open sessions");
+      "copies + objective memo) summed over open sessions");
   return gauge;
 }
 
@@ -35,7 +35,8 @@ engine::RankingEngine::Options EngineOptions(
     const SessionManager::Options& options, core::SemanticsId semantics,
     std::shared_ptr<const rank::MembershipCalculator> membership,
     std::shared_ptr<const pbtree::PBTree> tree,
-    std::shared_ptr<util::EpochManager> epochs) {
+    std::shared_ptr<util::EpochManager> epochs,
+    std::shared_ptr<core::ExpectedRankTable> rank_table) {
   engine::RankingEngine::Options engine_options;
   engine_options.semantics = semantics;
   engine_options.k = options.k;
@@ -48,6 +49,7 @@ engine::RankingEngine::Options EngineOptions(
   engine_options.shared_membership = std::move(membership);
   engine_options.shared_tree = std::move(tree);
   engine_options.epochs = std::move(epochs);
+  engine_options.shared_rank_table = std::move(rank_table);
   return engine_options;
 }
 
@@ -113,6 +115,8 @@ SessionManager::SessionManager(const model::Database& db,
   tree_options.fanout = options_.fanout;
   tree_ = std::make_shared<const pbtree::PBTree>(db, tree_options);
   epochs_ = std::make_shared<util::EpochManager>();
+  // Empty until the first expected_rank evaluation builds it.
+  rank_table_ = std::make_shared<core::ExpectedRankTable>(db);
 }
 
 SessionManager::~SessionManager() {
@@ -153,7 +157,8 @@ util::Status SessionManager::CreateSessionLocked(
                                          "' already open");
   }
   auto session = std::make_shared<Session>(
-      *db_, EngineOptions(options_, semantics, membership_, tree_, epochs_));
+      *db_, EngineOptions(options_, semantics, membership_, tree_, epochs_,
+                           rank_table_));
   if (persist_enabled()) {
     persist::SessionMeta meta;
     meta.session_id = id;
@@ -580,7 +585,8 @@ util::StatusOr<int> SessionManager::RecoverSessions(
 
     auto session = std::make_shared<Session>(
         *db_,
-        EngineOptions(options_, *semantics, membership_, tree_, epochs_));
+        EngineOptions(options_, *semantics, membership_, tree_, epochs_,
+                      rank_table_));
     uint64_t replay_from = 0;
     if (recovered->snapshot.has_value()) {
       const persist::SessionSnapshot& snapshot = *recovered->snapshot;

@@ -356,6 +356,9 @@ class SessionManager {
   // versions are freed once no in-flight reader (of any session) can
   // still reach them.
   std::shared_ptr<util::EpochManager> epochs_;
+  // The catalog's expected_rank sweep table, shared by every session and
+  // built by the first expected_rank evaluation (never by entropy).
+  std::shared_ptr<core::ExpectedRankTable> rank_table_;
 
   mutable std::mutex mu_;  // guards sessions_ and next_id_
   std::map<std::string, std::shared_ptr<Session>> sessions_;

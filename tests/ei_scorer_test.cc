@@ -31,32 +31,6 @@ void ObjectsUnder(const pbtree::Node* node,
   for (const pbtree::Node* child : node->children) ObjectsUnder(child, out);
 }
 
-// Like testing::RandomDb, but values come from {0, ..., 5}: instances of
-// several objects share values, so a node's extreme value is also held
-// by objects under it that sort before or after its bound source.
-model::Database TiedDb(int m, uint64_t seed) {
-  util::Rng rng(seed);
-  model::Database db;
-  for (int o = 0; o < m; ++o) {
-    const int count = static_cast<int>(rng.UniformInt(1, 3));
-    std::vector<std::pair<double, double>> pairs;
-    double total = 0.0;
-    while (static_cast<int>(pairs.size()) < count) {
-      const double v = static_cast<double>(rng.UniformInt(0, 5));
-      bool fresh = true;
-      for (const auto& p : pairs) fresh &= (p.first != v);
-      if (!fresh) continue;
-      const double w = rng.Uniform(0.05, 1.0);
-      pairs.emplace_back(v, w);
-      total += w;
-    }
-    for (auto& p : pairs) p.second /= total;
-    db.AddObject(std::move(pairs));
-  }
-  if (!db.Finalize().ok()) std::abort();
-  return db;
-}
-
 // Checks the bound of every same-level node pair, self pairs (n, n)
 // included, against the exact EI of every object pair underneath, in both
 // order modes; with `self_pairs_only`, of the self pairs alone.
@@ -114,9 +88,9 @@ TEST_P(EIScorerSweep, NodePairUpperBoundsExactEI) {
   // 0.129 against an exact EI of 0.480). Self pairs read positions: the
   // k = 2 input exercises ties at a node's smallest value ("neither"),
   // the k = 4 input ties at its largest value ("both").
-  ExpectNodePairsAdmissible(TiedDb(9, GetParam()), 2,
+  ExpectNodePairsAdmissible(testing::TiedDb(9, GetParam()), 2,
                             /*self_pairs_only=*/true);
-  ExpectNodePairsAdmissible(TiedDb(9, GetParam() + 10), 4,
+  ExpectNodePairsAdmissible(testing::TiedDb(9, GetParam() + 10), 4,
                             /*self_pairs_only=*/true);
 }
 

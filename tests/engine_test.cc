@@ -24,6 +24,7 @@
 #include "crowd/adaptive.h"
 #include "crowd/crowd_model.h"
 #include "crowd/session.h"
+#include "data/synthetic.h"
 #include "model/database_overlay.h"
 #include "obs/metrics.h"
 #include "pbtree/bound_object.h"
@@ -491,6 +492,71 @@ TEST(RankingEngineTest, OneMemoServesEveryObjective) {
   }
 }
 #endif  // PTK_METRICS
+
+// Per-session objective state is O(answers): after the same six
+// consistent folds, each objective reports the same semantics_bytes on a
+// 500- and a 4,000-object SYN catalog — nothing it keeps is sized by m —
+// and those bytes count toward DeltaMemory().total(), the figure the
+// serving layer reports as session_bytes. Entropy keeps no objective
+// state, so its share is 0 and every entropy byte count stays as it was.
+TEST(RankingEngineTest, SemanticsBytesDoNotGrowWithTheCatalog) {
+  const auto semantics_bytes = [](core::SemanticsId id, int m) -> int64_t {
+    data::SynOptions syn;
+    syn.num_objects = m;
+    syn.seed = 6;
+    const model::Database db = data::MakeSynDataset(syn);
+    engine::RankingEngine::Options options;
+    options.k = 5;
+    options.semantics = id;
+    engine::RankingEngine eng(db, options);
+    // Six disjoint pairs of objects whose value ranges overlap, so every
+    // fold reweights both objects; answered as one sampled world orders
+    // them, so every fold applies.
+    const std::vector<double> world = crowd::SampleWorldValues(db, 7);
+    const auto span = [&](model::ObjectId o) {
+      const auto& inst = db.object(o).instances();
+      return std::make_pair(inst.front().value, inst.back().value);
+    };
+    std::vector<bool> used(m, false);
+    int folds = 0;
+    for (model::ObjectId a = 0; a < m && folds < 6; ++a) {
+      for (model::ObjectId b = a + 1; b < m && !used[a]; ++b) {
+        if (used[b] || span(a).second < span(b).first ||
+            span(b).second < span(a).first) {
+          continue;
+        }
+        used[a] = used[b] = true;
+        engine::RankingEngine::FoldOutcome outcome;
+        const bool a_first = world[a] < world[b];
+        EXPECT_TRUE(eng.Fold(a_first ? a : b, a_first ? b : a, false,
+                             &outcome)
+                        .ok());
+        EXPECT_EQ(outcome, engine::RankingEngine::FoldOutcome::kApplied);
+        ++folds;
+      }
+    }
+    EXPECT_EQ(folds, 6);
+    // Exercise the objective's memo the way a session does.
+    EXPECT_TRUE(eng.Quality().ok());
+    std::vector<core::ScoredPair> picks;
+    EXPECT_TRUE(
+        eng.MakeSelector(core::SelectorKind::kOpt)->SelectPairs(3, &picks)
+            .ok());
+    const engine::RankingEngine::MemoryFootprint memory = eng.DeltaMemory();
+    EXPECT_EQ(memory.total(), memory.overlay_bytes +
+                                  memory.membership_bytes +
+                                  memory.tree_bytes + memory.semantics_bytes);
+    return memory.semantics_bytes;
+  };
+  for (const core::SemanticsId id :
+       {core::SemanticsId::kExpectedRank, core::SemanticsId::kUKRanks}) {
+    const int64_t small = semantics_bytes(id, 500);
+    EXPECT_GT(small, 0) << core::SemanticsName(id);
+    EXPECT_EQ(small, semantics_bytes(id, 4000)) << core::SemanticsName(id);
+  }
+  EXPECT_EQ(semantics_bytes(core::SemanticsId::kEntropy, 500), 0);
+  EXPECT_EQ(semantics_bytes(core::SemanticsId::kEntropy, 4000), 0);
+}
 
 // Satellite 2 (session side): CurrentDistribution between rounds serves
 // the engine's memo — the enumeration count must not grow.

@@ -1,16 +1,20 @@
 // The tentpole guarantee of the shared-everything serving design: 100+
 // concurrent update_working sessions fold against ONE base database, ONE
-// shared membership calculator, and ONE shared PB-tree for their whole
-// lifetime — per-session state is a sparse delta (overlay overrides,
-// membership prefix columns, copy-on-write tree path copies) whose size
-// scales with the answers folded, not with the database — and every
-// served result is bit-identical to running the same sessions one at a
-// time. tools/check.sh runs this suite under TSan and ASan.
+// shared membership calculator, ONE shared PB-tree, and ONE expected_rank
+// sweep table for their whole lifetime — per-session state is a sparse
+// delta (overlay overrides, membership prefix columns, copy-on-write tree
+// path copies, the objective's memo) whose size scales with the answers
+// folded, not with the database — and every served result is
+// bit-identical to running the same sessions one at a time. A quarter of
+// the sessions clean toward expected_rank and a quarter toward ukranks,
+// so concurrent first evaluations race to the lazily built table.
+// tools/check.sh runs this suite under TSan and ASan.
 
 #include <atomic>
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -18,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/semantics.h"
 #include "data/synthetic.h"
 #include "model/database.h"
 #include "obs/metrics.h"
@@ -52,6 +57,14 @@ serve::SessionManager::Options ManagerOptions() {
   options.update_working = true;  // every applied answer grows a delta
   options.max_sessions = 256;
   return options;
+}
+
+// The objective of session i: entropy for even i, then expected_rank and
+// ukranks in turn.
+std::optional<core::SemanticsId> SemanticsOf(int i) {
+  if (i % 4 == 1) return core::SemanticsId::kExpectedRank;
+  if (i % 4 == 3) return core::SemanticsId::kUKRanks;
+  return std::nullopt;
 }
 
 struct SessionResult {
@@ -102,7 +115,7 @@ TEST(SharedSessions, HundredConcurrentSessionsMatchSequentialBitwise) {
   {
     serve::SessionManager manager(db, ManagerOptions());
     for (int i = 0; i < kSessions; ++i) {
-      StatusOr<std::string> id = manager.CreateSession();
+      StatusOr<std::string> id = manager.CreateSession("", SemanticsOf(i));
       ASSERT_TRUE(id.ok()) << id.status().ToString();
       ids[i] = *id;
     }
@@ -121,7 +134,7 @@ TEST(SharedSessions, HundredConcurrentSessionsMatchSequentialBitwise) {
     serve::SessionManager manager(db, ManagerOptions());
     std::vector<std::string> cids(kSessions);
     for (int i = 0; i < kSessions; ++i) {
-      StatusOr<std::string> id = manager.CreateSession();
+      StatusOr<std::string> id = manager.CreateSession("", SemanticsOf(i));
       ASSERT_TRUE(id.ok()) << id.status().ToString();
       cids[i] = *id;
       ASSERT_EQ(cids[i], ids[i]);
@@ -276,6 +289,9 @@ TEST(SharedSessions, ShardedRuntimeMatchesSingleShardBitwise) {
     for (int i = 0; i < kSessions; ++i) {
       serve::Request create;
       create.op = serve::Op::kCreateSession;
+      if (const auto semantics = SemanticsOf(i)) {
+        create.semantics = std::string(core::SemanticsName(*semantics));
+      }
       const serve::Response created = Call(runtime, create);
       ASSERT_TRUE(created.status.ok()) << created.status.ToString();
       ids[i] =

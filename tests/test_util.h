@@ -59,6 +59,32 @@ inline model::Database RandomDb(int m, int max_instances, uint64_t seed) {
   return db;
 }
 
+/// Like RandomDb, but with 1-3 instances per object whose values come from
+/// {0, ..., 5}: instances of several objects share values, so the
+/// (value, oid, iid) tie-break decides their order.
+inline model::Database TiedDb(int m, uint64_t seed) {
+  util::Rng rng(seed);
+  model::Database db;
+  for (int o = 0; o < m; ++o) {
+    const int count = static_cast<int>(rng.UniformInt(1, 3));
+    std::vector<std::pair<double, double>> pairs;
+    double total = 0.0;
+    while (static_cast<int>(pairs.size()) < count) {
+      const double v = static_cast<double>(rng.UniformInt(0, 5));
+      bool fresh = true;
+      for (const auto& p : pairs) fresh &= (p.first != v);
+      if (!fresh) continue;
+      const double w = rng.Uniform(0.05, 1.0);
+      pairs.emplace_back(v, w);
+      total += w;
+    }
+    for (auto& p : pairs) p.second /= total;
+    db.AddObject(std::move(pairs));
+  }
+  if (!db.Finalize().ok()) std::abort();
+  return db;
+}
+
 /// Exact Δ(A(P_1)) = H(S_k, A(P_1)) - H(S_k) by exhaustive world
 /// enumeration — the oracle for the Algorithm 5 bounds.
 inline double ExactDelta(const model::Database& db, int k,

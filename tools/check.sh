@@ -13,8 +13,8 @@
 # semantics bytes are refused), a crash-recovery gate (SIGKILL a
 # persisting server mid-stream, restart with --recover, diff the rest of
 # the transcript against an uninterrupted golden run), a benchmark smoke
-# run (perfbench clean_opt and zipf_durable for 2 s each, output check
-# must pass), and an ASan/UBSan build running the
+# run (perfbench clean_opt, clean_semantics and zipf_durable for 2 s
+# each, output check must pass), and an ASan/UBSan build running the
 # robustness, engine-equivalence, simd kernel, and persistence tests and a
 # timed fuzz smoke pass over the committed seed corpus.
 # Usage: tools/check.sh [fuzz_seconds]
@@ -228,16 +228,19 @@ diff <(head -n 3 /tmp/ptk_crash_golden.out) /tmp/ptk_crash_part1.out
 diff <(tail -n 4 /tmp/ptk_crash_golden.out) /tmp/ptk_crash_part2.out
 rm -rf "$CRASH_CSV" "$CRASH_DIR"
 
-echo "== benchmark smoke: perfbench clean_opt and zipf_durable for 2 s each =="
+echo "== benchmark smoke: perfbench clean_opt, clean_semantics and zipf_durable for 2 s each =="
 # The repository benchmark (BENCHMARK.json, perfbench/README.md) at tiny
 # scale: run.py builds its own tree, drives the real ptk_server over its
 # pipes and compares every response with a sequential in-process replay.
 # Each run must exit 0 and report "correct": true on its last stdout line.
-# clean_opt speaks the binary wire; zipf_durable is the one workload on
-# the JSON wire, so it runs the server's JSON request decoder and the
-# benchmark client's JSON response decoder end to end.
+# clean_opt speaks the binary wire; clean_semantics is the one workload
+# whose sessions clean toward expected_rank and ukranks, so it checks
+# those objectives' selection and quality through the real server;
+# zipf_durable is the one workload on the JSON wire, so it runs the
+# server's JSON request decoder and the benchmark client's JSON response
+# decoder end to end.
 BENCH_OUT="$(mktemp)"
-for workload in clean_opt zipf_durable; do
+for workload in clean_opt clean_semantics zipf_durable; do
   python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 2 \
     --trace 0 > "$BENCH_OUT"
   tail -n 1 "$BENCH_OUT" | grep -q '"correct": true' \
