@@ -6,10 +6,11 @@
 // SessionManager::MemoryReport().
 //
 // Each session runs a realistic op mix (next_pairs, post_answers,
-// quality) through the scheduler; sessions are independent and share the
-// base artifacts, so added sessions cost queueing, not index rebuilds.
-// The queue is sized below the total offered load on purpose so the
-// admission-control path (shed + retry) is part of what is measured.
+// quality) through serve::Runtime::Submit, the path ptk_server serves;
+// sessions are independent and share the base artifacts, so added
+// sessions cost queueing, not index rebuilds. The queue is sized below
+// the total offered load on purpose so the admission-control path (shed
+// + retry) is part of what is measured.
 //
 // Run: ./serve_bench   (PTK_BENCH_JSON=<path> for machine-readable rows)
 
@@ -32,7 +33,6 @@
 #include "data/synthetic.h"
 #include "serve/message.h"
 #include "serve/runtime.h"
-#include "serve/scheduler.h"
 #include "serve/session_manager.h"
 #include "util/status.h"
 #include "util/statusor.h"
@@ -66,83 +66,86 @@ int main() {
   const ptk::model::Database db = ptk::data::MakeSynDataset(data_options);
 
   ptk::obs::BenchJsonWriter json;
+  const int num_objects = data_options.num_objects;
   for (const int sessions : {1, 2, 4, 8, 16}) {
-    ptk::serve::SessionManager::Options manager_options;
-    manager_options.k = 5;
-    manager_options.max_sessions = sessions;
-    ptk::serve::SessionManager manager(db, manager_options);
-
-    ptk::serve::Scheduler::Options scheduler_options;
-    scheduler_options.workers = 2;
-    scheduler_options.queue_capacity = 2 * sessions;
-    ptk::serve::Scheduler scheduler(scheduler_options);
-
-    std::vector<std::string> ids;
-    for (int s = 0; s < sessions; ++s) {
-      ptk::util::StatusOr<std::string> id = manager.CreateSession();
-      if (!id.ok()) {
-        std::fprintf(stderr, "%s\n", id.status().ToString().c_str());
-        return 1;
-      }
-      ids.push_back(*id);
-    }
+    ptk::serve::Runtime::Options options;
+    options.manager.k = 5;
+    options.manager.max_sessions = sessions;
+    options.scheduler.workers = 2;
+    options.queue_capacity = 2 * sessions;
+    ptk::serve::Runtime runtime(db, options);
 
     std::mutex mu;
-    std::vector<double> latencies;  // seconds, completed requests only
-    std::atomic<int64_t> attempted{0};
-    std::atomic<int64_t> shed{0};
+    std::condition_variable cv;
+    int64_t created = 0;
+    for (int s = 0; s < sessions; ++s) {
+      ptk::serve::Request create;
+      create.op = ptk::serve::Op::kCreateSession;
+      runtime.Submit(std::move(create), [&](ptk::serve::Response response) {
+        if (!response.status.ok()) {
+          std::fprintf(stderr, "%s\n", response.status.ToString().c_str());
+          std::exit(1);
+        }
+        std::lock_guard<std::mutex> lock(mu);
+        ++created;
+        cv.notify_all();
+      });
+    }
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait(lock, [&] { return created == sessions; });
+    }
+
+    std::vector<double> latencies;  // seconds, admitted requests only
+    int64_t attempted = 0;
+    int64_t shed = 0;
 
     ptk::util::Stopwatch wall;
     // Offered load: every session keeps kRequestsPerSession requests
-    // cycling through select / fold / quality. Submission is open-loop;
-    // rejected submissions count as shed, not latency.
+    // cycling through select / fold / quality. Submission is open-loop.
     for (int r = 0; r < kRequestsPerSession; ++r) {
       for (int s = 0; s < sessions; ++s) {
-        const std::string& id = ids[s];
-        ptk::serve::Scheduler::Request request;
-        request.session_id = id;
-        request.cancel = manager.CancelSourceFor(id).source;
-        const auto submitted_at = Clock::now();
+        ptk::serve::Request request;
+        request.session = "s" + std::to_string(s + 1);
         const int phase = r % 3;
-        request.work = [&manager, id, phase]() -> ptk::util::Status {
-          if (phase == 0) {
-            return manager.NextPairs(id, 1).status();
-          }
-          if (phase == 1) {
-            ptk::util::StatusOr<std::vector<ptk::core::ScoredPair>> pairs =
-                manager.NextPairs(id, 1);
-            if (!pairs.ok()) return pairs.status();
-            const auto a = (*pairs)[0].a;
-            const auto b = (*pairs)[0].b;
-            ptk::serve::PostReport report;
-            return manager.PostAnswers(
-                id, {{std::min(a, b), std::max(a, b)}}, &report);
-          }
-          return manager.Quality(id).status();
-        };
-        request.done = [&mu, &latencies, submitted_at](
-                           const ptk::util::Status&) {
-          const double seconds =
-              std::chrono::duration<double>(Clock::now() - submitted_at)
-                  .count();
-          std::lock_guard<std::mutex> lock(mu);
-          latencies.push_back(seconds);
-        };
+        if (phase == 0) {
+          request.op = ptk::serve::Op::kNextPairs;
+        } else if (phase == 1) {
+          request.op = ptk::serve::Op::kPostAnswers;
+          const uint32_t a = static_cast<uint32_t>((r + s) % num_objects);
+          const uint32_t b = static_cast<uint32_t>((r + s + 1) % num_objects);
+          request.answers = {{std::min(a, b), std::max(a, b)}};
+        } else {
+          request.op = ptk::serve::Op::kQuality;
+        }
         // Closed-ish loop: a shed is retried after a short backoff (the
-        // admission status says "retry"), so shed_rate measures how often
-        // the bounded queue pushed back rather than lost work.
+        // response carries a retry hint), so shed_rate measures how often
+        // the bounded queue pushed back rather than lost work. Shed
+        // responses arrive inline, so `was_shed` is read right after
+        // Submit returns; no other response touches it.
         for (;;) {
-          attempted.fetch_add(1);
-          ptk::serve::Scheduler::Request attempt = request;
-          const ptk::util::Status admitted =
-              scheduler.Submit(std::move(attempt));
-          if (admitted.ok()) break;
-          shed.fetch_add(1);
+          ++attempted;
+          bool was_shed = false;
+          const auto submitted_at = Clock::now();
+          runtime.Submit(request, [&, submitted_at](
+                                      ptk::serve::Response response) {
+            if (response.retry_after_ms >= 0) {
+              was_shed = true;
+              return;
+            }
+            const double seconds =
+                std::chrono::duration<double>(Clock::now() - submitted_at)
+                    .count();
+            std::lock_guard<std::mutex> lock(mu);
+            latencies.push_back(seconds);
+          });
+          if (!was_shed) break;
+          ++shed;
           std::this_thread::sleep_for(std::chrono::microseconds(200));
         }
       }
     }
-    scheduler.Shutdown();
+    runtime.Shutdown();
     const double elapsed = wall.ElapsedSeconds();
 
     std::sort(latencies.begin(), latencies.end());
@@ -151,13 +154,12 @@ int main() {
     const double p50 = Percentile(latencies, 0.5) * 1e3;
     const double p99 = Percentile(latencies, 0.99) * 1e3;
     const double shed_rate =
-        static_cast<double>(shed.load()) /
-        static_cast<double>(attempted.load());
+        static_cast<double>(shed) / static_cast<double>(attempted);
     ptk::bench::Row({std::to_string(sessions), ptk::bench::Fmt(rps, 1),
                      ptk::bench::Fmt(p50, 3), ptk::bench::Fmt(p99, 3),
                      ptk::bench::Fmt(shed_rate, 3)});
     json.Record("serve/sessions=" + std::to_string(sessions), elapsed,
-                scheduler_options.workers, sessions, manager_options.k,
+                options.scheduler.workers, sessions, options.manager.k,
                 ptk::bench::Scale());
   }
 
@@ -253,23 +255,23 @@ int main() {
   // request schedule (session picked by popularity rank ~ 1/r^0.99, ~70%
   // reads / 30% posts with posts arriving in same-session runs of 3 — a
   // crowd answers a round in a clump — fixed wall-clock pacing) is
-  // offered to every {shards} x {coalesce} configuration. Submission
-  // never waits for completions and never retries — a request the
-  // admission gate rejects is counted shed and dropped, so shed_rate
-  // compares drain speed at equal offered load. Sessions are journaled
-  // with fsync on (the durable serving configuration), so every post
-  // group pays one commit fsync: coalescing merges a clump into ONE
-  // engine pass and one fsync, and batches reads under one epoch pin,
-  // which is exactly what drains the queue faster. The acceptance bar is
-  // shed(on) < shed(off) at every shard count. This section sizes its
-  // own dataset (fixed, not PTK_BENCH_SCALE-scaled): it measures
-  // queueing and coalescing, and must stay in the contended-but-not-
-  // saturated regime where drain speed decides shed.
+  // offered to every shard count. Submission never waits for completions
+  // and never retries — a request the admission gate rejects is counted
+  // shed and dropped, so shed_rate compares drain speed at equal offered
+  // load. Sessions are journaled with fsync on (the durable serving
+  // configuration), so every post group pays one commit fsync: the
+  // runtime merges a clump into ONE engine pass and one fsync, and
+  // batches reads under one epoch pin, which is what drains the queue.
+  // (Earlier versions also ran each shard count with grouping off, one
+  // task per request: it shed more at every shard count, and that path is
+  // gone.) This section sizes its own dataset (fixed, not
+  // PTK_BENCH_SCALE-scaled): it measures queueing and grouping, and must
+  // stay in the contended-but-not-saturated regime where drain speed
+  // decides shed.
   ptk::bench::Banner(
-      "Sharded runtime (open-loop Zipfian): shed rate vs shards x coalesce");
-  ptk::bench::Row({"shards", "coalesce", "offered", "shed", "shed_rate",
-                   "merged_posts", "batched_reads", "req/s", "p50_ms",
-                   "p99_ms"});
+      "Sharded runtime (open-loop Zipfian): shed rate vs shards");
+  ptk::bench::Row({"shards", "offered", "shed", "shed_rate", "merged_posts",
+                   "batched_reads", "req/s", "p50_ms", "p99_ms"});
   {
     constexpr int kZipfSessions = 24;
     constexpr double kZipfExponent = 0.99;
@@ -315,127 +317,122 @@ int main() {
       }
       schedule.resize(static_cast<size_t>(kWaves) * kWaveBurst);
     }
-    const int num_objects = zipf_data_options.num_objects;
+    const int zipf_objects = zipf_data_options.num_objects;
 
     for (const int shards : {1, 2, 4}) {
-      for (const bool coalesce : {true, false}) {
-        char dir_template[] = "/tmp/ptk_serve_bench_XXXXXX";
-        const char* persist_dir = mkdtemp(dir_template);
-        if (persist_dir == nullptr) {
-          std::fprintf(stderr, "mkdtemp failed\n");
-          return 1;
-        }
-
-        ptk::serve::Runtime::Options options;
-        options.shards = shards;
-        options.coalesce = coalesce;
-        options.manager.k = 5;
-        options.manager.max_sessions = kZipfSessions;
-        options.manager.persist.dir = persist_dir;
-        options.manager.persist.fsync = true;
-        options.scheduler.workers = 2;
-        options.scheduler.queue_capacity = 12;
-        ptk::serve::Runtime runtime(zipf_db, options);
-
-        // Pre-create the session population; ids are rank order ("s1" is
-        // the hottest). Creates are synchronous (count them in).
-        std::mutex mu;
-        std::condition_variable cv;
-        int64_t answered = 0;
-        std::vector<double> served_latencies;  // seconds, non-shed only
-        auto await = [&](int64_t target) {
-          std::unique_lock<std::mutex> lock(mu);
-          cv.wait(lock, [&] { return answered >= target; });
-        };
-        auto count_only = [&](ptk::serve::Response) {
-          std::lock_guard<std::mutex> lock(mu);
-          ++answered;
-          cv.notify_all();
-        };
-        for (int s = 0; s < kZipfSessions; ++s) {
-          ptk::serve::Request create;
-          create.op = ptk::serve::Op::kCreateSession;
-          runtime.Submit(std::move(create), count_only);
-        }
-        await(kZipfSessions);
-
-        ptk::util::Stopwatch wall;
-        const auto start = Clock::now();
-        int64_t sequence = 0;
-        for (int wave = 0; wave < kWaves; ++wave) {
-          for (int b = 0; b < kWaveBurst; ++b) {
-            const Slot& slot = schedule[static_cast<size_t>(wave) *
-                                            kWaveBurst + b];
-            ptk::serve::Request request;
-            request.session = "s" + std::to_string(slot.session + 1);
-            if (slot.op == 0) {
-              request.op = ptk::serve::Op::kQuality;
-            } else if (slot.op == 1) {
-              request.op = ptk::serve::Op::kDistribution;
-              request.limit = 3;
-            } else {
-              request.op = ptk::serve::Op::kPostAnswers;
-              const uint32_t a =
-                  static_cast<uint32_t>(sequence % num_objects);
-              const uint32_t b2 =
-                  static_cast<uint32_t>((sequence + 1) % num_objects);
-              request.answers = {{std::min(a, b2), std::max(a, b2)}};
-            }
-            ++sequence;
-            const auto submitted_at = Clock::now();
-            runtime.Submit(
-                std::move(request),
-                [&, submitted_at](ptk::serve::Response response) {
-                  const double seconds = std::chrono::duration<double>(
-                                             Clock::now() - submitted_at)
-                                             .count();
-                  std::lock_guard<std::mutex> lock(mu);
-                  if (response.status.code() !=
-                      ptk::util::Status::Code::kResourceExhausted) {
-                    served_latencies.push_back(seconds);
-                  }
-                  ++answered;
-                  cv.notify_all();
-                });
-          }
-          // Absolute pacing: the offered schedule is wall-clock fixed and
-          // identical for every configuration, drift-free.
-          std::this_thread::sleep_until(start + (wave + 1) * kWavePace);
-        }
-        const int64_t offered = kZipfSessions + kWaves * kWaveBurst;
-        await(offered);  // shed responses arrive inline, so this drains
-        const double elapsed = wall.ElapsedSeconds();
-        const ptk::serve::Runtime::Stats stats = runtime.stats();
-        runtime.Shutdown();
-        std::error_code ec;
-        std::filesystem::remove_all(persist_dir, ec);
-
-        const int64_t load = kWaves * kWaveBurst;
-        const double shed_rate = static_cast<double>(stats.shed) /
-                                 static_cast<double>(load);
-        const double rps =
-            static_cast<double>(stats.completed) / elapsed;
-        std::sort(served_latencies.begin(), served_latencies.end());
-        const double p50 = Percentile(served_latencies, 0.5) * 1e3;
-        const double p99 = Percentile(served_latencies, 0.99) * 1e3;
-        const char* mode = coalesce ? "on" : "off";
-        ptk::bench::Row({std::to_string(shards), mode, std::to_string(load),
-                         std::to_string(stats.shed),
-                         ptk::bench::Fmt(shed_rate, 3),
-                         std::to_string(stats.coalesced_posts),
-                         std::to_string(stats.batched_reads),
-                         ptk::bench::Fmt(rps, 1), ptk::bench::Fmt(p50, 3),
-                         ptk::bench::Fmt(p99, 3)});
-        json.Record("serve/runtime/shards=" + std::to_string(shards) +
-                        ",coalesce=" + mode + ",offered=" +
-                        std::to_string(load) + ",shed=" +
-                        std::to_string(stats.shed) + ",shed_rate=" +
-                        ptk::bench::Fmt(shed_rate, 4) + ",p50_ms=" +
-                        ptk::bench::Fmt(p50, 3) + ",p99_ms=" +
-                        ptk::bench::Fmt(p99, 3),
-                    elapsed, options.scheduler.workers, shards,
-                    options.manager.k, ptk::bench::Scale());
+      char dir_template[] = "/tmp/ptk_serve_bench_XXXXXX";
+      const char* persist_dir = mkdtemp(dir_template);
+      if (persist_dir == nullptr) {
+        std::fprintf(stderr, "mkdtemp failed\n");
+        return 1;
       }
+
+      ptk::serve::Runtime::Options options;
+      options.shards = shards;
+      options.manager.k = 5;
+      options.manager.max_sessions = kZipfSessions;
+      options.manager.persist.dir = persist_dir;
+      options.manager.persist.fsync = true;
+      options.scheduler.workers = 2;
+      options.queue_capacity = 12;
+      ptk::serve::Runtime runtime(zipf_db, options);
+
+      // Pre-create the session population; ids are rank order ("s1" is
+      // the hottest). Creates are synchronous (count them in).
+      std::mutex mu;
+      std::condition_variable cv;
+      int64_t answered = 0;
+      std::vector<double> served_latencies;  // seconds, non-shed only
+      auto await = [&](int64_t target) {
+        std::unique_lock<std::mutex> lock(mu);
+        cv.wait(lock, [&] { return answered >= target; });
+      };
+      auto count_only = [&](ptk::serve::Response) {
+        std::lock_guard<std::mutex> lock(mu);
+        ++answered;
+        cv.notify_all();
+      };
+      for (int s = 0; s < kZipfSessions; ++s) {
+        ptk::serve::Request create;
+        create.op = ptk::serve::Op::kCreateSession;
+        runtime.Submit(std::move(create), count_only);
+      }
+      await(kZipfSessions);
+
+      ptk::util::Stopwatch wall;
+      const auto start = Clock::now();
+      int64_t sequence = 0;
+      for (int wave = 0; wave < kWaves; ++wave) {
+        for (int b = 0; b < kWaveBurst; ++b) {
+          const Slot& slot = schedule[static_cast<size_t>(wave) *
+                                          kWaveBurst + b];
+          ptk::serve::Request request;
+          request.session = "s" + std::to_string(slot.session + 1);
+          if (slot.op == 0) {
+            request.op = ptk::serve::Op::kQuality;
+          } else if (slot.op == 1) {
+            request.op = ptk::serve::Op::kDistribution;
+            request.limit = 3;
+          } else {
+            request.op = ptk::serve::Op::kPostAnswers;
+            const uint32_t a =
+                static_cast<uint32_t>(sequence % zipf_objects);
+            const uint32_t b2 =
+                static_cast<uint32_t>((sequence + 1) % zipf_objects);
+            request.answers = {{std::min(a, b2), std::max(a, b2)}};
+          }
+          ++sequence;
+          const auto submitted_at = Clock::now();
+          runtime.Submit(
+              std::move(request),
+              [&, submitted_at](ptk::serve::Response response) {
+                const double seconds = std::chrono::duration<double>(
+                                           Clock::now() - submitted_at)
+                                           .count();
+                std::lock_guard<std::mutex> lock(mu);
+                if (response.status.code() !=
+                    ptk::util::Status::Code::kResourceExhausted) {
+                  served_latencies.push_back(seconds);
+                }
+                ++answered;
+                cv.notify_all();
+              });
+        }
+        // Absolute pacing: the offered schedule is wall-clock fixed and
+        // identical for every configuration, drift-free.
+        std::this_thread::sleep_until(start + (wave + 1) * kWavePace);
+      }
+      const int64_t offered = kZipfSessions + kWaves * kWaveBurst;
+      await(offered);  // shed responses arrive inline, so this drains
+      const double elapsed = wall.ElapsedSeconds();
+      const ptk::serve::Runtime::Stats stats = runtime.stats();
+      runtime.Shutdown();
+      std::error_code ec;
+      std::filesystem::remove_all(persist_dir, ec);
+
+      const int64_t load = kWaves * kWaveBurst;
+      const double shed_rate = static_cast<double>(stats.shed) /
+                               static_cast<double>(load);
+      const double rps =
+          static_cast<double>(stats.completed) / elapsed;
+      std::sort(served_latencies.begin(), served_latencies.end());
+      const double p50 = Percentile(served_latencies, 0.5) * 1e3;
+      const double p99 = Percentile(served_latencies, 0.99) * 1e3;
+      ptk::bench::Row({std::to_string(shards), std::to_string(load),
+                       std::to_string(stats.shed),
+                       ptk::bench::Fmt(shed_rate, 3),
+                       std::to_string(stats.merged_posts),
+                       std::to_string(stats.batched_reads),
+                       ptk::bench::Fmt(rps, 1), ptk::bench::Fmt(p50, 3),
+                       ptk::bench::Fmt(p99, 3)});
+      json.Record("serve/runtime/shards=" + std::to_string(shards) +
+                      ",offered=" + std::to_string(load) + ",shed=" +
+                      std::to_string(stats.shed) + ",shed_rate=" +
+                      ptk::bench::Fmt(shed_rate, 4) + ",p50_ms=" +
+                      ptk::bench::Fmt(p50, 3) + ",p99_ms=" +
+                      ptk::bench::Fmt(p99, 3),
+                  elapsed, options.scheduler.workers, shards,
+                  options.manager.k, ptk::bench::Scale());
     }
   }
   return 0;

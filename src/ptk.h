@@ -16,13 +16,17 @@
 //   topk::UTopK / UKRanks / PTk / GlobalTopK     one-shot semantics queries
 //   engine::RankingEngine                        incremental conditioning
 //   crowd::CleaningSession, crowd::AdaptiveCleaner  the cleaning loops
-//   serve::SessionManager, serve::Scheduler      the concurrent serving
-//                                                runtime
+//   serve::SessionManager                        concurrent cleaning
+//                                                sessions over one catalog
 //   serve::Request / serve::Response             the typed protocol core
 //   serve::Codec (JsonCodec, BinaryCodec)        wire formats: JSON lines
 //                                                and length-prefixed binary
 //   serve::ExecuteRequest                        one op against a manager
-//   serve::Runtime                               sharded, coalescing front
+//   serve::Runtime                               sharded, coalescing front:
+//                                                admission, per-session
+//                                                order, grouping, deadlines
+//   serve::Scheduler                             one shard's executor and
+//                                                deadline watchdog
 //   util::Status / util::StatusOr<T>             error reporting
 //   util::CancelSource                           cooperative cancellation
 //   obs:: metrics / trace / exporters            observability

@@ -7,8 +7,8 @@
 
 namespace ptk::serve {
 
-Response ExecuteRequest(SessionManager& manager, const Scheduler* scheduler,
-                        const Request& request) {
+Response ExecuteRequest(SessionManager& manager,
+                        const Scheduler* /*unused*/, const Request& request) {
   Response response;
   response.id = request.id;
   switch (request.op) {
@@ -22,7 +22,8 @@ Response ExecuteRequest(SessionManager& manager, const Scheduler* scheduler,
           return response;
         }
       }
-      util::StatusOr<std::string> id = manager.CreateSession("", semantics);
+      util::StatusOr<std::string> id =
+          manager.CreateSession(request.session, semantics);
       if (!id.ok()) {
         response.status = id.status();
         return response;
@@ -47,20 +48,9 @@ Response ExecuteRequest(SessionManager& manager, const Scheduler* scheduler,
     }
     case Op::kPostAnswers: {
       PostReport report;
-      const util::Status s =
+      util::Status status =
           manager.PostAnswers(request.session, request.answers, &report);
-      if (!s.ok()) {
-        response.status = s;
-        // Surface what the partial batch did: everything before the
-        // failing answer was folded (and journaled) for good. An unknown
-        // session had no partial effect at all, so no report travels.
-        if (s.code() != util::Status::Code::kNotFound) {
-          response.partial = report;
-        }
-        return response;
-      }
-      response.payload = Response::Posted{report};
-      return response;
+      return PostAnswersResponse(request.id, std::move(status), report);
     }
     case Op::kDistribution: {
       util::StatusOr<pw::TopKDistribution> dist =
@@ -93,9 +83,7 @@ Response ExecuteRequest(SessionManager& manager, const Scheduler* scheduler,
       return response;
     }
     case Op::kMetrics: {
-      std::vector<const Scheduler*> schedulers;
-      if (scheduler != nullptr) schedulers.push_back(scheduler);
-      response.payload = BuildMetrics({&manager}, schedulers);
+      response.payload = BuildMetrics({&manager});
       return response;
     }
     case Op::kClose: {
@@ -107,9 +95,23 @@ Response ExecuteRequest(SessionManager& manager, const Scheduler* scheduler,
   return response;
 }
 
+Response PostAnswersResponse(std::string id, util::Status status,
+                             const PostReport& report) {
+  Response response;
+  response.id = std::move(id);
+  if (status.ok()) {
+    response.payload = Response::Posted{report};
+  } else {
+    if (status.code() != util::Status::Code::kNotFound) {
+      response.partial = report;
+    }
+    response.status = std::move(status);
+  }
+  return response;
+}
+
 Response::Metrics BuildMetrics(
-    const std::vector<const SessionManager*>& managers,
-    const std::vector<const Scheduler*>& schedulers) {
+    const std::vector<const SessionManager*>& managers) {
   Response::Metrics metrics;
   for (const SessionManager* manager : managers) {
     metrics.sessions_open += manager->open_sessions();
@@ -127,15 +129,6 @@ Response::Metrics BuildMetrics(
                const Response::SessionBytes& b) {
               return a.session < b.session;
             });
-  metrics.has_scheduler = !schedulers.empty();
-  for (const Scheduler* scheduler : schedulers) {
-    const Scheduler::Stats stats = scheduler->stats();
-    metrics.queue_depth += scheduler->queue_depth();
-    metrics.submitted += stats.submitted;
-    metrics.executed += stats.executed;
-    metrics.shed += stats.shed;
-    metrics.deadline_misses += stats.deadline_misses;
-  }
   return metrics;
 }
 

@@ -5,37 +5,45 @@
 #include <vector>
 
 #include "serve/message.h"
-#include "serve/scheduler.h"
 #include "serve/session_manager.h"
 #include "util/status.h"
 
 namespace ptk::serve {
 
+class Scheduler;
+
 /// Execution of the typed protocol (serve/message.h) against a
 /// SessionManager. This layer is pure value → value: wire text never
 /// appears here (that is serve/codec.h's job), and rendering decisions
-/// never leak in. The historical string-fragment ExecuteRequest contract
-/// (comma-led payload splices + an `error_detail` out-param) is gone;
-/// partial-effect reporting for post_answers travels inside
-/// Response::partial instead.
+/// never leak in. Partial-effect reporting for post_answers travels
+/// inside Response::partial.
 ///
 /// Requests are assumed codec-validated (ValidateRequest). The request's
-/// correlation tag is echoed into Response::id.
+/// correlation tag is echoed into Response::id. create_session opens the
+/// session under Request::session when it is set (the sharded runtime
+/// assigns ids itself), and under the manager's next id otherwise.
 ///
-/// For Op::kMetrics, `scheduler` (nullable) contributes the queue/stat
-/// fields; sharded frontends aggregate across shards with BuildMetrics
-/// instead of calling this per shard.
-Response ExecuteRequest(SessionManager& manager, const Scheduler* scheduler,
+/// The Scheduler argument is unused: a metrics op here reports the one
+/// manager only, without queue or request tallies (serve::Runtime
+/// answers metrics itself). It remains so existing callers, which pass
+/// nullptr, keep compiling.
+Response ExecuteRequest(SessionManager& manager, const Scheduler* unused,
                         const Request& request);
 
+/// The post_answers response for one batch's outcome: the report as the
+/// payload on success; on failure the status, with the report as
+/// Response::partial — everything before the failing answer was folded
+/// and journaled for good — unless the session was unknown (kNotFound:
+/// nothing took effect).
+Response PostAnswersResponse(std::string id, util::Status status,
+                             const PostReport& report);
+
 /// Aggregated metrics payload across shards: open sessions and memory
-/// reports are merged (per-session entries re-sorted lexicographically by
-/// id, matching the single-manager report order), scheduler stats are
-/// summed. `schedulers` may be empty (no scheduler fields) but must
-/// otherwise be free of nulls.
+/// reports are merged, per-session entries re-sorted lexicographically by
+/// id (matching the single-manager report order). The queue and request
+/// tallies are left unset (has_scheduler false) for the caller to fill.
 Response::Metrics BuildMetrics(
-    const std::vector<const SessionManager*>& managers,
-    const std::vector<const Scheduler*>& schedulers);
+    const std::vector<const SessionManager*>& managers);
 
 }  // namespace ptk::serve
 

@@ -17,15 +17,48 @@ util::Status ShuttingDown() {
       "serving runtime is shutting down; request rejected");
 }
 
-/// Same status text the Scheduler stamps on requests that expire before a
-/// worker picks them up, so a group item that expires while coalesced is
-/// byte-identical to the same request expiring as a single.
-util::Status ExpiredInQueue() {
-  return util::Status::DeadlineExceeded(
-      "deadline expired while queued; request not executed");
+bool IsRead(Op op) { return op == Op::kDistribution || op == Op::kQuality; }
+
+// The ptk_serve_* request families. Each counts client requests, never
+// executor tasks: a merged group of N posts is N requests.
+
+obs::Gauge* QueueDepthGauge() {
+  static obs::Gauge* const gauge = obs::GetGauge(
+      "ptk_serve_queue_depth", "Requests waiting for their group to start");
+  return gauge;
 }
 
-bool IsRead(Op op) { return op == Op::kDistribution || op == Op::kQuality; }
+obs::Gauge* InFlightGauge() {
+  static obs::Gauge* const gauge = obs::GetGauge(
+      "ptk_serve_inflight", "Requests in a started group, not yet answered");
+  return gauge;
+}
+
+obs::Counter* RequestCounter() {
+  static obs::Counter* const counter = obs::GetCounter(
+      "ptk_serve_requests_total", "Requests admitted");
+  return counter;
+}
+
+obs::Counter* ShedCounter() {
+  static obs::Counter* const counter = obs::GetCounter(
+      "ptk_serve_shed_total", "Requests rejected by admission control");
+  return counter;
+}
+
+obs::Counter* DeadlineMissCounter() {
+  static obs::Counter* const counter = obs::GetCounter(
+      "ptk_serve_deadline_miss_total",
+      "Requests that expired before or during execution");
+  return counter;
+}
+
+obs::Histogram* LatencyHistogram() {
+  static obs::Histogram* const histogram = obs::GetHistogram(
+      "ptk_serve_request_seconds",
+      "Wall time of executed requests (work only, not queueing)");
+  return histogram;
+}
 
 }  // namespace
 
@@ -42,21 +75,20 @@ int ShardOfSession(std::string_view session_id, int shards) {
 Runtime::Runtime(const model::Database& db, const Options& options)
     : options_(options) {
   options_.shards = std::max(1, options_.shards);
-  options_.scheduler.queue_capacity =
-      std::max(1, options_.scheduler.queue_capacity);
-  options_.max_read_batch = std::max(1, options_.max_read_batch);
+  options_.queue_capacity = std::max(1, options_.queue_capacity);
+  // Register the request families up front so exporters see them (at
+  // zero) even before the first shed or deadline miss.
+  QueueDepthGauge();
+  InFlightGauge();
+  RequestCounter();
+  ShedCounter();
+  DeadlineMissCounter();
+  LatencyHistogram();
   shards_.reserve(options_.shards);
   for (int i = 0; i < options_.shards; ++i) {
     auto shard = std::make_unique<Shard>();
     shard->manager = std::make_unique<SessionManager>(db, options_.manager);
-    // The runtime does its own admission (on request count, before
-    // grouping); the shard scheduler only ever sees the groups those
-    // admitted requests coalesce into, which is never more than the
-    // request count — the +1 keeps a dispatch racing the last admission
-    // from ever shedding inside the scheduler.
-    Scheduler::Options scheduler_options = options_.scheduler;
-    scheduler_options.queue_capacity += 1;
-    shard->scheduler = std::make_unique<Scheduler>(scheduler_options);
+    shard->scheduler = std::make_unique<Scheduler>(options_.scheduler);
     const std::string label = "{shard=\"" + std::to_string(i) + "\"}";
     shard->requests_total = obs::GetCounter(
         "ptk_serve_shard_requests_total" + label,
@@ -64,7 +96,7 @@ Runtime::Runtime(const model::Database& db, const Options& options)
     shard->shed_total = obs::GetCounter(
         "ptk_serve_shard_shed_total" + label,
         "Requests rejected by per-shard admission control");
-    shard->coalesced_folds_total = obs::GetCounter(
+    shard->merged_posts_total = obs::GetCounter(
         "ptk_serve_shard_coalesced_folds_total" + label,
         "post_answers batches merged into an existing group, per shard");
     shard->batched_reads_total = obs::GetCounter(
@@ -76,16 +108,6 @@ Runtime::Runtime(const model::Database& db, const Options& options)
 
 Runtime::~Runtime() { Shutdown(); }
 
-void Runtime::RespondShed(const Item& item, int waiting) {
-  Response response = ErrorResponse(
-      item.request.id,
-      util::Status::ResourceExhausted(
-          "request queue full (" + std::to_string(waiting) +
-          " waiting); retry after in-flight requests drain"));
-  response.retry_after_ms = options_.shed_retry_after_ms;
-  item.done(std::move(response));
-}
-
 void Runtime::Submit(Request request, std::function<void(Response)> done) {
   if (!accepting_.load(std::memory_order_acquire)) {
     done(ErrorResponse(request.id, ShuttingDown()));
@@ -93,6 +115,7 @@ void Runtime::Submit(Request request, std::function<void(Response)> done) {
   }
   if (request.op == Op::kMetrics) {
     submitted_.fetch_add(1, std::memory_order_relaxed);
+    RequestCounter()->Add();
     Response response = MetricsBarrier(request);
     completed_.fetch_add(1, std::memory_order_relaxed);
     done(std::move(response));
@@ -102,7 +125,7 @@ void Runtime::Submit(Request request, std::function<void(Response)> done) {
   // Session ids come from the runtime-global counter so the id stream —
   // and with it every downstream response — is independent of the shard
   // count. The assigned id rides in Request::session (empty on the wire
-  // for create) down to ExecuteSingle.
+  // for create) down to ExecuteRequest.
   if (request.op == Op::kCreateSession) {
     request.session =
         "s" + std::to_string(next_id_.fetch_add(1, std::memory_order_relaxed));
@@ -114,273 +137,136 @@ void Runtime::Submit(Request request, std::function<void(Response)> done) {
   item.request = std::move(request);
   item.done = std::move(done);
   if (item.request.deadline_ms > 0) {
-    item.has_deadline = true;
-    item.deadline_at = std::chrono::steady_clock::now() +
-                       std::chrono::milliseconds(item.request.deadline_ms);
+    item.deadline_at =
+        Clock::now() + std::chrono::milliseconds(item.request.deadline_ms);
   }
 
   std::unique_lock<std::mutex> lock(shard.mu);
-  if (shard.waiting >= options_.scheduler.queue_capacity) {
+  if (shard.waiting >= options_.queue_capacity) {
     lock.unlock();
     shard.shed_total->Add();
+    ShedCounter()->Add();
     shed_.fetch_add(1, std::memory_order_relaxed);
-    RespondShed(item, options_.scheduler.queue_capacity);
+    Response response = ErrorResponse(
+        item.request.id,
+        util::Status::ResourceExhausted(
+            "request queue full (" + std::to_string(options_.queue_capacity) +
+            " waiting); retry after in-flight requests drain"));
+    response.retry_after_ms = kShedRetryAfterMs;
+    item.done(std::move(response));
     return;
   }
   ++shard.waiting;
   shard.requests_total->Add();
+  RequestCounter()->Add();
+  QueueDepthGauge()->Add();
   submitted_.fetch_add(1, std::memory_order_relaxed);
 
   const Op op = item.request.op;
   const std::string key = item.request.session;
   SessionQueue& queue = shard.sessions[key];
-  const bool idle = queue.current == nullptr && queue.pending.empty();
-
-  if (options_.coalesce && op == Op::kPostAnswers) {
-    // Merge behind the newest same-session post group: the pending tail,
-    // or the dispatched-but-not-started current. Either way the whole
-    // group runs as one engine pass and one journal commit.
-    Group* target = nullptr;
-    if (!queue.pending.empty() &&
-        queue.pending.back()->kind == Group::Kind::kPosts) {
-      target = queue.pending.back().get();
-    } else if (queue.pending.empty() && queue.current != nullptr &&
-               queue.current->kind == Group::Kind::kPosts &&
-               !queue.current->closed) {
-      target = queue.current.get();
+  if (Group* target = JoinTarget(shard, queue, item)) {
+    if (op == Op::kPostAnswers) {
+      shard.merged_posts_total->Add();
+      merged_posts_.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      shard.batched_reads_total->Add();
+      batched_reads_.fetch_add(1, std::memory_order_relaxed);
     }
-    if (target != nullptr) {
-      target->items.push_back(std::move(item));
-      shard.coalesced_folds_total->Add();
-      coalesced_posts_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-  }
-  if (options_.coalesce && IsRead(op)) {
-    if (idle && shard.open_reads != nullptr && !shard.open_reads->closed &&
-        static_cast<int>(shard.open_reads->items.size()) <
-            options_.max_read_batch) {
-      // Cross-session batching: the shard's open read group is dispatched
-      // but not yet running; ride along under its single epoch pin.
-      shard.open_reads->items.push_back(std::move(item));
-      shard.open_reads->sessions.insert(key);
+    if (queue.current == nullptr) {
+      // An idle session joining the shard's open read group: that group
+      // now heads this session's queue too.
       queue.current = shard.open_reads;
-      shard.batched_reads_total->Add();
-      batched_reads_.fetch_add(1, std::memory_order_relaxed);
-      return;
+      target->sessions.insert(key);
     }
-    if (!idle && !queue.pending.empty() &&
-        queue.pending.back()->kind == Group::Kind::kReads &&
-        static_cast<int>(queue.pending.back()->items.size()) <
-            options_.max_read_batch) {
-      queue.pending.back()->items.push_back(std::move(item));
-      shard.batched_reads_total->Add();
-      batched_reads_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
+    target->items.push_back(std::move(item));
+    return;
   }
 
   auto group = std::make_shared<Group>();
-  if (options_.coalesce && op == Op::kPostAnswers) {
-    group->kind = Group::Kind::kPosts;
-  } else if (options_.coalesce && IsRead(op)) {
-    group->kind = Group::Kind::kReads;
-  } else {
-    group->kind = Group::Kind::kSingle;
-  }
   group->sessions.insert(key);
   group->items.push_back(std::move(item));
   ++shard.outstanding;
-  if (idle) {
+  if (queue.current == nullptr) {
     queue.current = group;
-    if (group->kind == Group::Kind::kReads) shard.open_reads = group;
-    DispatchLocked(shard, shard_index, group);
+    if (IsRead(op)) shard.open_reads = group;
+    PostLocked(shard_index, group);
   } else {
     queue.pending.push_back(std::move(group));
   }
 }
 
-void Runtime::DispatchLocked(Shard& shard, int shard_index,
-                             const std::shared_ptr<Group>& group) {
-  Scheduler::Request job;
-  // The runtime owns per-session ordering (one group per session in
-  // flight); scheduler lanes stay out of the way.
-  job.session_id.clear();
-  if (group->kind == Group::Kind::kSingle) {
-    Item& item = group->items.front();
-    if (item.has_deadline) {
-      const auto remaining =
-          item.deadline_at - std::chrono::steady_clock::now();
-      // An already-expired deadline still goes through the scheduler so
-      // its expired-in-queue accounting (and status text) applies.
-      job.deadline = std::max<std::chrono::steady_clock::duration>(
-          remaining, std::chrono::nanoseconds(1));
+Runtime::Group* Runtime::JoinTarget(Shard& shard, const SessionQueue& queue,
+                                    const Item& item) {
+  const Op op = item.request.op;
+  if (op == Op::kPostAnswers) {
+    // Merge behind the newest same-session post group that has not
+    // started: the pending tail, or the posted-but-not-started current.
+    if (!queue.pending.empty()) {
+      Group* tail = queue.pending.back().get();
+      return tail->op() == Op::kPostAnswers ? tail : nullptr;
     }
-    if (!item.request.session.empty()) {
-      job.cancel =
-          shard.manager->CancelSourceFor(item.request.session).source;
-    }
+    Group* current = queue.current.get();
+    return current != nullptr && !current->closed &&
+                   current->op() == Op::kPostAnswers
+               ? current
+               : nullptr;
   }
-  job.work = [this, shard_index, group] {
-    ExecuteGroup(shard_index, group);
-    return group->kind == Group::Kind::kSingle
-               ? group->single_response.status
-               : util::Status::OK();
-  };
-  job.done = [this, shard_index, group](const util::Status& status) {
-    if (group->kind == Group::Kind::kSingle) {
-      // Fires even when the scheduler expired the request before work ran
-      // (work() skipped) — settle the waiting accounting either way.
-      AccountStart(*shards_[shard_index], group);
-      Item& item = group->items.front();
-      Response response = std::move(group->single_response);
-      if (status.code() != response.status.code()) {
-        // The scheduler overruled the work's own outcome: expiry before
-        // execution, or mid-execution cancellation remapped to a deadline
-        // miss. Keep any partial-effect report; drop the payload.
-        response.id = item.request.id;
-        response.status = status;
-        response.payload = Response::None{};
-      }
-      completed_.fetch_add(1, std::memory_order_relaxed);
-      item.done(std::move(response));
-    }
-    OnGroupDone(shard_index, group);
-  };
-  const util::Status admitted = shard.scheduler->Submit(std::move(job));
-  if (!admitted.ok()) {
-    // Unreachable by construction (the scheduler queue is sized past the
-    // runtime's own admission cap); fail the items loudly if it ever is.
-    group->closed = true;
-    shard.waiting -= static_cast<int>(group->items.size());
-    for (Item& item : group->items) {
-      completed_.fetch_add(1, std::memory_order_relaxed);
-      item.done(ErrorResponse(item.request.id, admitted));
-    }
-    for (const std::string& key : group->sessions) {
-      const auto it = shard.sessions.find(key);
-      if (it != shard.sessions.end() && it->second.current == group) {
-        it->second.current = nullptr;
-        if (it->second.pending.empty()) shard.sessions.erase(it);
-      }
-    }
-    if (shard.open_reads == group) shard.open_reads = nullptr;
-    if (--shard.outstanding == 0) shard.drain_cv.notify_all();
+  if (!IsRead(op)) return nullptr;
+  Group* target = nullptr;
+  if (queue.current == nullptr) {
+    // Idle session: ride along in the shard's open read group, which is
+    // posted but not yet running (a started group is never open_reads).
+    target = shard.open_reads.get();
+  } else if (!queue.pending.empty() &&
+             IsRead(queue.pending.back()->op())) {
+    target = queue.pending.back().get();
   }
+  return target != nullptr &&
+                 static_cast<int>(target->items.size()) < kMaxReadBatch
+             ? target
+             : nullptr;
 }
 
-void Runtime::AccountStart(Shard& shard,
-                           const std::shared_ptr<Group>& group) {
-  std::lock_guard<std::mutex> lock(shard.mu);
-  if (group->closed) return;
-  group->closed = true;
-  shard.waiting -= static_cast<int>(group->items.size());
-  if (shard.open_reads == group) shard.open_reads = nullptr;
-}
-
-Response Runtime::ExecuteSingle(int shard_index, const Request& request) {
-  Shard& shard = *shards_[shard_index];
-  if (request.op == Op::kCreateSession) {
-    Response response;
-    response.id = request.id;
-    std::optional<core::SemanticsId> semantics;  // none: the default
-    if (!request.semantics.empty()) {
-      semantics = core::SemanticsFromName(request.semantics);
-      if (!semantics.has_value()) {
-        response.status = util::Status::InvalidArgument(
-            "unknown ranking semantics '" + request.semantics + "'");
-        return response;
-      }
-    }
-    util::StatusOr<std::string> created =
-        shard.manager->CreateSession(request.session, semantics);
-    if (!created.ok()) {
-      response.status = created.status();
-    } else {
-      response.payload = Response::Created{*std::move(created)};
-    }
-    return response;
-  }
-  return ExecuteRequest(*shard.manager, shard.scheduler.get(), request);
+void Runtime::PostLocked(int shard_index,
+                         const std::shared_ptr<Group>& group) {
+  shards_[shard_index]->scheduler->Post(
+      [this, shard_index, group] { ExecuteGroup(shard_index, group); });
 }
 
 void Runtime::ExecuteGroup(int shard_index,
                            const std::shared_ptr<Group>& group) {
   Shard& shard = *shards_[shard_index];
-  AccountStart(shard, group);
-  if (group->kind == Group::Kind::kSingle) {
-    group->single_response = ExecuteSingle(shard_index,
-                                           group->items.front().request);
-    return;
+  int size = 0;
+  {
+    // Closing under the shard mutex fixes the item list: from here on
+    // nothing joins the group, and every item it took leaves `waiting`.
+    std::lock_guard<std::mutex> lock(shard.mu);
+    group->closed = true;
+    size = static_cast<int>(group->items.size());
+    shard.waiting -= size;
+    if (shard.open_reads == group) shard.open_reads = nullptr;
   }
-  const auto now = std::chrono::steady_clock::now();
-  auto expired = [&now](const Item& item) {
-    return item.has_deadline && now >= item.deadline_at;
-  };
-  auto respond_expired = [this](Item& item) {
-    deadline_misses_.fetch_add(1, std::memory_order_relaxed);
-    completed_.fetch_add(1, std::memory_order_relaxed);
-    item.done(ErrorResponse(item.request.id, ExpiredInQueue()));
-  };
+  QueueDepthGauge()->Sub(size);
+  InFlightGauge()->Add(size);
 
-  if (group->kind == Group::Kind::kPosts) {
-    const std::string& session = *group->sessions.begin();
-    std::vector<SessionManager::PostBatch> batches;
-    std::vector<Item*> live;
+  if (group->op() == Op::kPostAnswers) {
+    ExecutePosts(shard, *group);
+  } else {
+    // A read group's items share ONE epoch pin over the shard's base
+    // artifacts — the batching this group exists for.
+    util::EpochManager::ReadGuard pin;
+    if (IsRead(group->op())) pin = shard.manager->PinArtifacts();
     for (Item& item : group->items) {
-      if (expired(item)) {
-        respond_expired(item);
-        continue;
-      }
-      SessionManager::PostBatch batch;
-      batch.answers = item.request.answers;
-      batches.push_back(std::move(batch));
-      live.push_back(&item);
-    }
-    util::Status outer = util::Status::OK();
-    if (!live.empty()) {
-      outer = shard.manager->PostAnswersBatched(session, &batches);
-    }
-    for (size_t i = 0; i < live.size(); ++i) {
-      Item& item = *live[i];
-      Response response;
-      response.id = item.request.id;
-      if (!outer.ok()) {
-        response.status = outer;
-      } else if (!batches[i].status.ok()) {
-        response.status = batches[i].status;
-        // Same rule as the sequential path: a failed batch that had
-        // partial effect reports it (an unknown session had none).
-        if (batches[i].status.code() != util::Status::Code::kNotFound) {
-          response.partial = batches[i].report;
-        }
+      if (Clock::now() >= item.deadline_at) {
+        RespondExpired(item);
       } else {
-        response.payload = Response::Posted{batches[i].report};
+        Respond(item, ExecuteItem(shard, item));
       }
-      completed_.fetch_add(1, std::memory_order_relaxed);
-      item.done(std::move(response));
     }
-    return;
   }
 
-  // kReads: every read of the group shares ONE epoch pin over the shard's
-  // base artifacts — the batching this group exists for.
-  const util::EpochManager::ReadGuard pin = shard.manager->PinArtifacts();
-  for (Item& item : group->items) {
-    if (expired(item)) {
-      respond_expired(item);
-      continue;
-    }
-    Response response = ExecuteRequest(*shard.manager, shard.scheduler.get(),
-                                       item.request);
-    completed_.fetch_add(1, std::memory_order_relaxed);
-    item.done(std::move(response));
-  }
-}
-
-void Runtime::OnGroupDone(int shard_index,
-                          const std::shared_ptr<Group>& group) {
-  Shard& shard = *shards_[shard_index];
+  // Advance every session this group headed; post their next groups.
   std::lock_guard<std::mutex> lock(shard.mu);
   for (const std::string& key : group->sessions) {
     const auto it = shard.sessions.find(key);
@@ -390,40 +276,116 @@ void Runtime::OnGroupDone(int shard_index,
     if (!queue.pending.empty()) {
       queue.current = std::move(queue.pending.front());
       queue.pending.pop_front();
-      DispatchLocked(shard, shard_index, queue.current);
+      PostLocked(shard_index, queue.current);
     } else {
       shard.sessions.erase(it);
     }
   }
-  if (shard.open_reads == group) shard.open_reads = nullptr;
   if (--shard.outstanding == 0) shard.drain_cv.notify_all();
+}
+
+void Runtime::ExecutePosts(Shard& shard, Group& group) {
+  const std::string& session = *group.sessions.begin();
+  std::vector<SessionManager::PostBatch> batches;
+  std::vector<Item*> live;
+  const auto now = Clock::now();
+  for (Item& item : group.items) {
+    if (now >= item.deadline_at) {
+      RespondExpired(item);
+      continue;
+    }
+    batches.emplace_back().answers = item.request.answers;
+    live.push_back(&item);
+  }
+  if (live.empty()) return;
+  if (const auto cancel = shard.manager->CancelSourceFor(session).source) {
+    cancel->Reset();
+  }
+  const auto start = Clock::now();
+  const util::Status outer =
+      shard.manager->PostAnswersBatched(session, &batches);
+  const double seconds =
+      std::chrono::duration<double>(Clock::now() - start).count();
+  for (size_t i = 0; i < live.size(); ++i) {
+    LatencyHistogram()->Observe(seconds);
+    Respond(*live[i],
+            PostAnswersResponse(live[i]->request.id,
+                                outer.ok() ? batches[i].status : outer,
+                                batches[i].report));
+  }
+}
+
+Response Runtime::ExecuteItem(Shard& shard, const Item& item) {
+  // Null when the session does not exist (yet): a create, or an unknown
+  // id the engine call answers NotFound.
+  const std::shared_ptr<util::CancelSource> cancel =
+      shard.manager->CancelSourceFor(item.request.session).source;
+  uint64_t alarm = 0;
+  if (cancel != nullptr) {
+    // Safe to re-arm: a session's groups run one at a time, so no loop is
+    // polling this token now.
+    cancel->Reset();
+    if (item.deadline_at != Clock::time_point::max()) {
+      alarm = shard.scheduler->Arm(item.deadline_at, cancel);
+    }
+  }
+  const auto start = Clock::now();
+  Response response = ExecuteRequest(*shard.manager, nullptr, item.request);
+  const auto end = Clock::now();
+  if (alarm != 0) shard.scheduler->Disarm(alarm);
+  LatencyHistogram()->Observe(
+      std::chrono::duration<double>(end - start).count());
+  if (response.status.code() == util::Status::Code::kCancelled &&
+      end >= item.deadline_at) {
+    // The watchdog's doing: report it as the deadline event it is. Any
+    // partial-effect report stays; the payload goes.
+    response.status =
+        util::Status::DeadlineExceeded("deadline expired during execution")
+            .WithContext(response.status.message());
+    response.payload = Response::None{};
+    deadline_misses_.fetch_add(1, std::memory_order_relaxed);
+    DeadlineMissCounter()->Add();
+  }
+  return response;
+}
+
+void Runtime::RespondExpired(Item& item) {
+  deadline_misses_.fetch_add(1, std::memory_order_relaxed);
+  DeadlineMissCounter()->Add();
+  Respond(item, ErrorResponse(item.request.id,
+                              util::Status::DeadlineExceeded(
+                                  "deadline expired while queued; request "
+                                  "not executed")));
+}
+
+void Runtime::Respond(Item& item, Response response) {
+  completed_.fetch_add(1, std::memory_order_relaxed);
+  InFlightGauge()->Sub();
+  item.done(std::move(response));
 }
 
 Response Runtime::MetricsBarrier(const Request& request) {
   // Consistent snapshot: wait for every shard to drain what was admitted
   // before this call, then read them all.
+  std::vector<const SessionManager*> managers;
+  managers.reserve(shards_.size());
+  int64_t waiting = 0;
   for (const std::unique_ptr<Shard>& shard : shards_) {
     std::unique_lock<std::mutex> lock(shard->mu);
     shard->drain_cv.wait(lock, [&] { return shard->outstanding == 0; });
-  }
-  std::vector<const SessionManager*> managers;
-  std::vector<const Scheduler*> schedulers;
-  managers.reserve(shards_.size());
-  schedulers.reserve(shards_.size());
-  for (const std::unique_ptr<Shard>& shard : shards_) {
+    waiting += shard->waiting;
     managers.push_back(shard->manager.get());
-    schedulers.push_back(shard->scheduler.get());
   }
   Response response;
   response.id = request.id;
-  Response::Metrics metrics = BuildMetrics(managers, schedulers);
-  // Report client-visible request counts, not internal group counts, and
-  // fold in the admissions and expiries the runtime handles itself.
+  Response::Metrics metrics = BuildMetrics(managers);
+  // Client-visible request counts, not group counts.
+  metrics.has_scheduler = true;
+  metrics.queue_depth = waiting;
   metrics.submitted = submitted_.load(std::memory_order_relaxed);
   metrics.executed = completed_.load(std::memory_order_relaxed);
-  metrics.shed += shed_.load(std::memory_order_relaxed);
-  metrics.deadline_misses +=
-      deadline_misses_.load(std::memory_order_relaxed);
+  metrics.shed = shed_.load(std::memory_order_relaxed);
+  metrics.deadline_misses = deadline_misses_.load(std::memory_order_relaxed);
   response.payload = std::move(metrics);
   return response;
 }
@@ -453,9 +415,9 @@ void Runtime::Shutdown() {
   std::lock_guard<std::mutex> shutdown_lock(shutdown_mu_);
   if (shut_down_) return;
   accepting_.store(false, std::memory_order_release);
-  // Drain the runtime's own queues first: a pending group is dispatched
-  // to its scheduler only as its predecessor finishes, so the schedulers
-  // must keep accepting until outstanding hits zero everywhere.
+  // Drain the runtime's own queues first: a pending group is posted to
+  // its executor only as its predecessor finishes, so the executors must
+  // keep running until outstanding hits zero everywhere.
   for (const std::unique_ptr<Shard>& shard : shards_) {
     std::unique_lock<std::mutex> lock(shard->mu);
     shard->drain_cv.wait(lock, [&] { return shard->outstanding == 0; });
@@ -471,7 +433,7 @@ Runtime::Stats Runtime::stats() const {
   stats.submitted = submitted_.load(std::memory_order_relaxed);
   stats.completed = completed_.load(std::memory_order_relaxed);
   stats.shed = shed_.load(std::memory_order_relaxed);
-  stats.coalesced_posts = coalesced_posts_.load(std::memory_order_relaxed);
+  stats.merged_posts = merged_posts_.load(std::memory_order_relaxed);
   stats.batched_reads = batched_reads_.load(std::memory_order_relaxed);
   stats.deadline_misses = deadline_misses_.load(std::memory_order_relaxed);
   return stats;

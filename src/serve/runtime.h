@@ -31,66 +31,69 @@ namespace ptk::serve {
 int ShardOfSession(std::string_view session_id, int shards);
 
 /// The sharded, coalescing front of the serving stack: N shards, each one
-/// owning its own SessionManager + Scheduler (hash session id -> shard),
-/// with request coalescing folding queued work into fewer engine passes.
+/// owning its own SessionManager and executor (hash session id -> shard).
+///
+/// Every request takes one path: Submit -> the shard's admission -> the
+/// session's queue of groups -> the shard's executor (serve::Scheduler) ->
+/// a deadline check as the item starts -> `done`. A group is one executor
+/// task serving one or more queued requests:
+///   * post_answers merges behind the session's newest post group that
+///     has not started — one session lock, one engine pass, one journal
+///     commit for the whole group — with per-batch reports identical to
+///     sequential execution (SessionManager::PostAnswersBatched);
+///   * distribution/quality on idle sessions of a shard share one read
+///     group of at most kMaxReadBatch items under a single shared-artifact
+///     epoch pin (SessionManager::PinArtifacts); a read queued behind a
+///     busy session joins that session's pending read group;
+///   * every other op is a group of one.
+/// Grouping never reorders a session's requests: each session's groups
+/// run one at a time, in submission order.
 ///
 /// Bit-identity: session ids are assigned from ONE runtime-global counter
 /// ("s1", "s2", ... in submission order), independent of the shard count,
 /// and every session op routes to the one shard owning its id — so the
 /// same request stream produces byte-identical responses on 1 shard and
 /// on N (pinned by tests/shared_sessions_test.cc and tools/check.sh).
-/// The metrics payload is the exception by nature: queue depths and
-/// scheduler tallies reflect scheduling, not session state.
+/// The metrics payload is the exception by nature: its queue and request
+/// tallies reflect scheduling, not session state.
 ///
-/// Coalescing (Options::coalesce):
-///   * same-session post_answers: batches queued behind an in-flight or
-///     pending post group MERGE into it — one session lock, one engine
-///     pass, one journal fsync for the whole group — with per-batch
-///     reports identical to sequential execution (fold order is
-///     submission order; see SessionManager::PostAnswersBatched).
-///   * cross-session distribution/quality: concurrent reads on idle
-///     sessions of a shard join one read group executed under a single
-///     shared-artifact epoch pin (SessionManager::PinArtifacts) — one
-///     scheduler task and one epoch entry instead of N.
-/// Coalescing never reorders a session's requests: each session's groups
-/// execute one at a time, in submission order.
+/// Admission: per shard, at most Options::queue_capacity requests may be
+/// waiting for their group to start. Beyond that Submit responds inline
+/// with kResourceExhausted carrying Response::retry_after_ms =
+/// kShedRetryAfterMs.
 ///
-/// Admission: per shard, at most Options::scheduler.queue_capacity
-/// requests may be waiting (grouped or not). Beyond that Submit responds
-/// immediately with kResourceExhausted carrying the machine-readable
-/// Response::retry_after_ms hint (Options::shed_retry_after_ms). Because
-/// coalescing drains the backlog in fewer, fatter passes, the same
-/// offered load sheds strictly less with it on (bench/serve_bench.cc).
-///
-/// Deadlines: single (non-coalesced) ops keep the scheduler's full
-/// deadline machinery — expiry before execution and mid-execution
-/// cancellation through the session's CancelSource. Items inside a
-/// coalesced group are checked at group execution start: an expired item
-/// is answered kDeadlineExceeded without touching the engine (counted in
-/// Stats::deadline_misses); a started item runs to completion.
+/// Deadlines: each item is checked once, when it starts. One whose
+/// deadline has passed answers kDeadlineExceeded without touching the
+/// engine. Otherwise its session's CancelSource is re-armed, and for
+/// every op but post_answers the shard's watchdog fires the source at the
+/// item's deadline; the selection and enumeration loops poll it, and the
+/// resulting kCancelled is reported as kDeadlineExceeded. A post group
+/// re-arms the source once and runs to completion: folds poll no token.
 class Runtime {
  public:
+  /// Most items one cross-session read group accepts. An unbounded batch
+  /// convoys: one task serializes reads idle workers could run in
+  /// parallel, and every involved session head-of-line blocks its own
+  /// posts behind the batch. Same-session post merges stay unbounded — a
+  /// session's posts are serial either way.
+  static constexpr int kMaxReadBatch = 16;
+  /// Retry hint stamped into shed responses' retry_after_ms.
+  static constexpr int64_t kShedRetryAfterMs = 1;
+
   struct Options {
     /// Shard count (clamped to >= 1). Each shard owns one SessionManager
-    /// and one Scheduler, so `manager.max_sessions` and
-    /// `scheduler.queue_capacity` are PER-SHARD budgets.
+    /// and one executor, so `manager.max_sessions`, `queue_capacity` and
+    /// `scheduler.workers` are PER-SHARD budgets.
     int shards = 1;
 
-    /// Master switch for both coalescing paths (off = every request is
-    /// its own scheduler task, PR-5 behaviour behind the typed API).
-    bool coalesce = true;
+    /// Requests that may wait for their group to start, per shard
+    /// (clamped to >= 1); beyond this Submit sheds. Running requests do
+    /// not count.
+    int queue_capacity = 32;
 
-    /// Retry hint stamped into shed responses' retry_after_ms.
-    int64_t shed_retry_after_ms = 1;
-
-    /// Upper bound on items in one cross-session read group (clamped to
-    /// >= 1). Unbounded batches convoy: one scheduler task serializes
-    /// reads idle workers could run in parallel, and every involved
-    /// session head-of-line blocks its own posts behind the batch. A
-    /// full group stops accepting joiners; the next read opens a fresh
-    /// one. Same-session post merges stay unbounded — a session's posts
-    /// are serial either way, so merging them never costs parallelism.
-    int max_read_batch = 16;
+    /// Grouping is how the runtime works, not a mode; kept as a constant
+    /// for callers that report it.
+    static constexpr bool coalesce = true;
 
     /// Per-shard layers. With persistence configured, all shards share
     /// manager.persist.dir — each journaled session belongs to exactly
@@ -101,7 +104,7 @@ class Runtime {
 
   /// `db` must be finalized and outlive the runtime. Builds every shard's
   /// manager (each pre-warms from the shared catalog when persistence is
-  /// on) and starts the shard schedulers.
+  /// on) and starts the shard executors.
   Runtime(const model::Database& db, const Options& options);
 
   /// Shutdown(), then tears the shards down.
@@ -117,9 +120,9 @@ class Runtime {
   ///
   /// kMetrics is a consistent-snapshot barrier: Submit waits for every
   /// shard to drain its admitted work, then aggregates all shards
-  /// (BuildMetrics) inline. Concurrent Submit calls from other threads
-  /// are not fenced — the barrier orders the metrics read against
-  /// requests submitted before it on this thread.
+  /// inline. Concurrent Submit calls from other threads are not fenced —
+  /// the barrier orders the metrics read against requests submitted
+  /// before it on this thread.
   void Submit(Request request, std::function<void(Response)> done);
 
   /// Recovers every journaled session into the shard owning its id and
@@ -129,7 +132,7 @@ class Runtime {
   util::StatusOr<int> Recover();
 
   /// Stops admission (later Submits answer kFailedPrecondition), waits
-  /// for every admitted group to finish, then shuts the shard schedulers
+  /// for every admitted group to finish, then shuts the shard executors
   /// down. Idempotent.
   void Shutdown();
 
@@ -137,9 +140,9 @@ class Runtime {
     int64_t submitted = 0;        // requests admitted
     int64_t completed = 0;        // requests answered (non-shed)
     int64_t shed = 0;             // requests rejected at admission
-    int64_t coalesced_posts = 0;  // post batches merged into a group
+    int64_t merged_posts = 0;     // post batches merged into a group
     int64_t batched_reads = 0;    // reads that joined a read group
-    int64_t deadline_misses = 0;  // group items expired before start
+    int64_t deadline_misses = 0;  // expired before or during execution
   };
   Stats stats() const;
 
@@ -149,28 +152,29 @@ class Runtime {
   }
 
  private:
+  using Clock = std::chrono::steady_clock;
+
   struct Item {
     Request request;
     std::function<void(Response)> done;
-    std::chrono::steady_clock::time_point deadline_at{};
-    bool has_deadline = false;
+    Clock::time_point deadline_at = Clock::time_point::max();  // none
   };
 
-  /// One scheduler task. kSingle carries exactly one item; kPosts is a
-  /// same-session post_answers merge; kReads spans idle sessions of one
-  /// shard. `closed` flips at execution start (under the shard mutex):
-  /// a closed group never accepts another item.
+  /// One executor task. Its first item decides what may join it: posts
+  /// merge into a post group, reads into a read group, and nothing joins
+  /// any other op. `closed` flips when the group starts (under the shard
+  /// mutex): a closed group never accepts another item.
   struct Group {
-    enum class Kind { kSingle, kPosts, kReads } kind = Kind::kSingle;
     bool closed = false;
     std::vector<Item> items;
     std::set<std::string> sessions;  // sessions whose queues this heads
-    Response single_response;        // kSingle: filled by work()
+
+    Op op() const { return items.front().request.op; }
   };
 
-  /// Per-session FIFO of groups: `current` is dispatched to the shard
-  /// scheduler (and, until closed, may still accept merges); `pending`
-  /// dispatch one at a time as predecessors finish.
+  /// Per-session FIFO of groups: `current` is posted to the executor
+  /// (and, until closed, may still accept items); `pending` groups are
+  /// posted one at a time as their predecessors finish.
   struct SessionQueue {
     std::shared_ptr<Group> current;
     std::deque<std::shared_ptr<Group>> pending;
@@ -186,35 +190,35 @@ class Runtime {
     /// none is open). Always == some involved session's `current`.
     std::shared_ptr<Group> open_reads;
     int waiting = 0;      // admitted requests whose group hasn't started
-    int outstanding = 0;  // groups dispatched or pending
+    int outstanding = 0;  // groups posted or pending
     std::condition_variable drain_cv;  // outstanding == 0
 
     // Per-shard labelled families (label-in-name convention, see
     // obs::FormatPrometheus).
     obs::Counter* requests_total = nullptr;
     obs::Counter* shed_total = nullptr;
-    obs::Counter* coalesced_folds_total = nullptr;
+    obs::Counter* merged_posts_total = nullptr;
     obs::Counter* batched_reads_total = nullptr;
   };
 
-  /// Hands the group to the shard scheduler (kSingle wires deadline +
-  /// cancel; group kinds run as plain tasks). Caller holds shard.mu.
-  void DispatchLocked(Shard& shard, int shard_index,
-                      const std::shared_ptr<Group>& group);
-  /// Flips the group closed (idempotent) and moves its items out of the
-  /// shard's waiting count; a closed open_reads stops accepting joiners.
-  void AccountStart(Shard& shard, const std::shared_ptr<Group>& group);
-  /// Runs the group on a worker: deadline triage, engine passes, and the
-  /// per-item done callbacks (group kinds; kSingle's fires from the
-  /// scheduler done hook so deadline post-processing applies).
+  /// The group `item` joins instead of opening its own, or null. Caller
+  /// holds shard.mu; `queue` is the item's session queue.
+  static Group* JoinTarget(Shard& shard, const SessionQueue& queue,
+                           const Item& item);
+  /// Hands the group to the shard executor. Caller holds shard.mu.
+  void PostLocked(int shard_index, const std::shared_ptr<Group>& group);
+  /// Runs the group on a worker: closes it, answers every item, then
+  /// advances the queues of the sessions it headed.
   void ExecuteGroup(int shard_index, const std::shared_ptr<Group>& group);
-  /// One non-coalesced op against the shard (create uses the runtime-
-  /// assigned id stashed in Request::session).
-  Response ExecuteSingle(int shard_index, const Request& request);
-  /// Advances every involved session's queue and the drain accounting.
-  void OnGroupDone(int shard_index, const std::shared_ptr<Group>& group);
+  /// The merged post_answers pass of a post group.
+  void ExecutePosts(Shard& shard, Group& group);
+  /// One started item of any other group: re-arms the session's cancel
+  /// source, arms the watchdog at the item's deadline, runs the op.
+  Response ExecuteItem(Shard& shard, const Item& item);
+  /// Answers an item whose deadline passed before it started.
+  void RespondExpired(Item& item);
+  void Respond(Item& item, Response response);
 
-  void RespondShed(const Item& item, int waiting);
   Response MetricsBarrier(const Request& request);
 
   Options options_;
@@ -227,7 +231,7 @@ class Runtime {
   std::atomic<int64_t> submitted_{0};
   std::atomic<int64_t> completed_{0};
   std::atomic<int64_t> shed_{0};
-  std::atomic<int64_t> coalesced_posts_{0};
+  std::atomic<int64_t> merged_posts_{0};
   std::atomic<int64_t> batched_reads_{0};
   std::atomic<int64_t> deadline_misses_{0};
 };

@@ -3,273 +3,85 @@
 #include <algorithm>
 #include <utility>
 
-#include "obs/metrics.h"
-
 namespace ptk::serve {
 
-namespace {
-
-obs::Gauge* QueueDepthGauge() {
-  static obs::Gauge* const gauge = obs::GetGauge(
-      "ptk_serve_queue_depth", "Requests waiting for a scheduler worker");
-  return gauge;
-}
-
-obs::Gauge* InFlightGauge() {
-  static obs::Gauge* const gauge = obs::GetGauge(
-      "ptk_serve_inflight", "Requests currently executing on a worker");
-  return gauge;
-}
-
-obs::Counter* ShedCounter() {
-  static obs::Counter* const counter = obs::GetCounter(
-      "ptk_serve_shed_total", "Requests rejected by admission control");
-  return counter;
-}
-
-obs::Counter* DeadlineMissCounter() {
-  static obs::Counter* const counter = obs::GetCounter(
-      "ptk_serve_deadline_miss_total",
-      "Requests that expired before or during execution");
-  return counter;
-}
-
-obs::Counter* RequestCounter() {
-  static obs::Counter* const counter = obs::GetCounter(
-      "ptk_serve_requests_total", "Requests accepted by the scheduler");
-  return counter;
-}
-
-obs::Histogram* LatencyHistogram() {
-  static obs::Histogram* const histogram = obs::GetHistogram(
-      "ptk_serve_request_seconds",
-      "Wall time of executed requests (work only, not queueing)");
-  return histogram;
-}
-
-}  // namespace
-
-Scheduler::Scheduler(const Options& options)
-    : options_{std::max(1, options.workers),
-               std::max(1, options.queue_capacity)},
-      pool_(std::max(1, options.workers)) {
-  // Register every ptk_serve_* scheduler family up front so exporters see
-  // them (at zero) even before the first shed or deadline miss.
-  QueueDepthGauge();
-  InFlightGauge();
-  ShedCounter();
-  DeadlineMissCounter();
-  RequestCounter();
-  LatencyHistogram();
+Scheduler::Scheduler(const Options& options) {
+  const int workers = std::max(1, options.workers);
+  workers_.reserve(workers);
+  for (int i = 0; i < workers; ++i) {
+    workers_.emplace_back([this] { WorkerLoop(); });
+  }
   watchdog_ = std::thread([this] { WatchdogLoop(); });
-  // The dispatcher parks inside ThreadPool::Run for the scheduler's whole
-  // life: it contributes one drain loop itself and the pool's workers run
-  // the rest, giving exactly `workers` concurrent WorkerLoops.
-  dispatcher_ = std::thread([this] {
-    pool_.Run(options_.workers, [this](int) { WorkerLoop(); });
-  });
 }
 
 Scheduler::~Scheduler() { Shutdown(); }
 
-util::Status Scheduler::Submit(Request request) {
-  std::shared_ptr<Pending> pending = std::make_shared<Pending>();
-  if (request.deadline > std::chrono::steady_clock::duration::zero()) {
-    pending->has_deadline = true;
-    pending->deadline_at = std::chrono::steady_clock::now() + request.deadline;
-  }
-  pending->request = std::move(request);
+void Scheduler::Post(std::function<void()> task) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (!accepting_) {
-      return util::Status::FailedPrecondition(
-          "scheduler is shutting down; request rejected");
-    }
-    if (queued_ >= options_.queue_capacity) {
-      ++stats_.shed;
-      ShedCounter()->Add();
-      return util::Status::ResourceExhausted(
-          "request queue full (" + std::to_string(options_.queue_capacity) +
-          " waiting); retry after in-flight requests drain");
-    }
-    ++queued_;
-    ++stats_.submitted;
-    const std::string& key = pending->request.session_id;
-    if (!key.empty()) {
-      SessionLane& lane = lanes_[key];
-      if (lane.busy) {
-        lane.waiting.push_back(std::move(pending));
-      } else {
-        lane.busy = true;
-        ready_.push_back(std::move(pending));
-      }
-    } else {
-      ready_.push_back(std::move(pending));
-    }
+    tasks_.push_back(std::move(task));
   }
-  RequestCounter()->Add();
-  QueueDepthGauge()->Add();
   work_cv_.notify_one();
-  return util::Status::OK();
 }
 
 void Scheduler::WorkerLoop() {
   for (;;) {
-    std::shared_ptr<Pending> pending;
+    std::function<void()> task;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [this] { return shutdown_ || !ready_.empty(); });
-      if (ready_.empty()) return;  // shutdown_ and fully drained
-      pending = std::move(ready_.front());
-      ready_.pop_front();
-      --queued_;
-      ++in_flight_;
+      work_cv_.wait(lock, [this] { return shutdown_ || !tasks_.empty(); });
+      if (tasks_.empty()) return;  // shut down and fully drained
+      task = std::move(tasks_.front());
+      tasks_.pop_front();
     }
-    QueueDepthGauge()->Sub();
-    InFlightGauge()->Add();
-    Execute(pending);
-    InFlightGauge()->Sub();
-    FinishSession(pending->request.session_id);
+    task();
   }
 }
 
-void Scheduler::Execute(const std::shared_ptr<Pending>& pending) {
-  const Request& request = pending->request;
-  util::Status status;
-  const auto start = std::chrono::steady_clock::now();
-  if (pending->has_deadline && start >= pending->deadline_at) {
-    status = util::Status::DeadlineExceeded(
-        "deadline expired while queued; request not executed");
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.deadline_misses;
-    }
-    DeadlineMissCounter()->Add();
-  } else {
-    uint64_t watch_id = 0;
-    if (request.cancel != nullptr) {
-      // Safe to re-arm: requests sharing this source share a session lane
-      // and are serialized, so no hot loop is polling the token now.
-      request.cancel->Reset();
-      if (pending->has_deadline) {
-        watch_id = WatchdogRegister(pending->deadline_at, request.cancel);
-      }
-    }
-    status = request.work ? request.work() : util::Status::OK();
-    if (watch_id != 0) WatchdogUnregister(watch_id);
-    const auto end = std::chrono::steady_clock::now();
-    LatencyHistogram()->Observe(
-        std::chrono::duration<double>(end - start).count());
-    const bool expired = pending->has_deadline && end >= pending->deadline_at;
-    if (status.code() == util::Status::Code::kCancelled && expired) {
-      // The watchdog's doing: report it as the deadline event it is.
-      status = util::Status::DeadlineExceeded(
-                   "deadline expired during execution")
-                   .WithContext(status.message());
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.deadline_misses;
-      }
-      DeadlineMissCounter()->Add();
-    }
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.executed;
-  }
-  if (request.done) request.done(status);
-}
-
-void Scheduler::FinishSession(const std::string& session_id) {
-  bool notify_worker = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    --in_flight_;
-    if (!session_id.empty()) {
-      const auto it = lanes_.find(session_id);
-      if (it != lanes_.end()) {
-        SessionLane& lane = it->second;
-        if (!lane.waiting.empty()) {
-          ready_.push_back(std::move(lane.waiting.front()));
-          lane.waiting.pop_front();
-          notify_worker = true;
-        } else {
-          lanes_.erase(it);
-        }
-      }
-    }
-    if (queued_ == 0 && in_flight_ == 0) drain_cv_.notify_all();
-  }
-  if (notify_worker) work_cv_.notify_one();
-}
-
-uint64_t Scheduler::WatchdogRegister(
-    std::chrono::steady_clock::time_point at,
-    std::shared_ptr<util::CancelSource> source) {
-  std::lock_guard<std::mutex> lock(watchdog_mu_);
-  const uint64_t id = watchdog_next_id_++;
-  watchdog_entries_.emplace(id, WatchdogEntry{at, std::move(source)});
+uint64_t Scheduler::Arm(std::chrono::steady_clock::time_point at,
+                        std::shared_ptr<util::CancelSource> source) {
+  std::lock_guard<std::mutex> lock(mu_);
+  const uint64_t id = next_alarm_++;
+  alarms_.emplace(id, Alarm{at, std::move(source)});
   watchdog_cv_.notify_one();
   return id;
 }
 
-void Scheduler::WatchdogUnregister(uint64_t id) {
-  std::lock_guard<std::mutex> lock(watchdog_mu_);
-  watchdog_entries_.erase(id);
+void Scheduler::Disarm(uint64_t id) {
+  std::lock_guard<std::mutex> lock(mu_);
+  alarms_.erase(id);
 }
 
 void Scheduler::WatchdogLoop() {
-  std::unique_lock<std::mutex> lock(watchdog_mu_);
-  for (;;) {
-    if (watchdog_shutdown_) return;
-    if (watchdog_entries_.empty()) {
-      watchdog_cv_.wait(lock, [this] {
-        return watchdog_shutdown_ || !watchdog_entries_.empty();
-      });
+  std::unique_lock<std::mutex> lock(mu_);
+  while (!shutdown_) {
+    if (alarms_.empty()) {
+      watchdog_cv_.wait(lock);
       continue;
     }
-    auto next = watchdog_entries_.begin();
-    for (auto it = watchdog_entries_.begin(); it != watchdog_entries_.end();
-         ++it) {
-      if (it->second.at < next->second.at) next = it;
-    }
-    const auto at = next->second.at;
-    if (std::chrono::steady_clock::now() < at) {
-      // Woken early by a new registration or shutdown; re-scan either way.
-      watchdog_cv_.wait_until(lock, at);
+    const auto next = std::min_element(
+        alarms_.begin(), alarms_.end(),
+        [](const auto& a, const auto& b) { return a.second.at < b.second.at; });
+    if (std::chrono::steady_clock::now() < next->second.at) {
+      // Woken early by a new alarm or shutdown; re-scan either way.
+      watchdog_cv_.wait_until(lock, next->second.at);
       continue;
     }
     next->second.source->RequestCancel();
-    watchdog_entries_.erase(next);
+    alarms_.erase(next);
   }
 }
 
 void Scheduler::Shutdown() {
   {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (!accepting_ && shutdown_ && !dispatcher_.joinable()) return;
-    accepting_ = false;
-    // Drain: every accepted request still gets executed (or expired) and
-    // its done callback fired before the workers are released.
-    drain_cv_.wait(lock, [this] { return queued_ == 0 && in_flight_ == 0; });
+    std::lock_guard<std::mutex> lock(mu_);
+    if (shutdown_) return;
     shutdown_ = true;
   }
   work_cv_.notify_all();
-  if (dispatcher_.joinable()) dispatcher_.join();
-  {
-    std::lock_guard<std::mutex> lock(watchdog_mu_);
-    watchdog_shutdown_ = true;
-  }
   watchdog_cv_.notify_all();
-  if (watchdog_.joinable()) watchdog_.join();
-}
-
-Scheduler::Stats Scheduler::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
-}
-
-int Scheduler::queue_depth() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return queued_;
+  for (std::thread& worker : workers_) worker.join();
+  watchdog_.join();
 }
 
 }  // namespace ptk::serve

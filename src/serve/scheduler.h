@@ -9,73 +9,34 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <thread>
 #include <vector>
 
 #include "util/cancellation.h"
-#include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace ptk::serve {
 
-/// The execution layer of the serving runtime: a bounded request queue
-/// drained by a fixed set of workers (running on a util::ThreadPool), with
-/// per-request deadlines enforced by a watchdog thread and cooperative
-/// cancellation threaded into the library's hot loops.
+/// The executor of one serving shard: `workers` threads draining one FIFO
+/// of tasks, plus a deadline watchdog that fires cancel sources from
+/// outside the worker that polls them.
 ///
-/// Ordering: requests carrying the same non-empty `session_id` execute
-/// one at a time, in submission order — the per-session serialization the
-/// SessionManager's engines and CancelSource re-arming rely on. Requests
-/// with different keys (or an empty key) run concurrently across workers.
+/// Admission, per-session order and grouping all belong to the runtime in
+/// front of it (serve/runtime.h): the runtime posts a task only for a
+/// group whose session predecessors have finished, so the executor keeps
+/// no per-session state and never refuses work.
 ///
-/// Admission control: Submit never blocks. When `queue_capacity` requests
-/// are already waiting, it sheds immediately with kResourceExhausted and
-/// a retry hint; the `done` callback is not invoked for shed requests.
+/// Watchdog: Arm(at, source) fires `source` once `at` passes, unless
+/// Disarm ran first. Arm, Disarm and the firing all hold one mutex, so a
+/// source is never fired after Disarm returned — a request that finished
+/// in time can never be cancelled late.
 ///
-/// Deadlines: a request whose deadline has already passed when a worker
-/// picks it up completes with kDeadlineExceeded without executing. One
-/// that is still running at its deadline has its CancelSource fired by
-/// the watchdog; when the work then returns kCancelled, the scheduler
-/// reports kDeadlineExceeded to `done` (the cancellation was the
-/// deadline's doing, not the client's).
-///
-/// Shutdown() (and the destructor) stop admission, drain everything
-/// already accepted, and join all threads; `done` thus fires exactly once
-/// for every accepted request.
+/// Shutdown() (and the destructor) run every task already posted, then
+/// join all threads.
 class Scheduler {
  public:
   struct Options {
-    /// Concurrent workers draining the queue (clamped to >= 1).
+    /// Worker threads draining the task queue (clamped to >= 1).
     int workers = 2;
-    /// Maximum requests waiting for a worker (clamped to >= 1); beyond
-    /// this Submit sheds. In-flight requests do not count.
-    int queue_capacity = 32;
-  };
-
-  struct Request {
-    /// Serialization key; requests sharing a non-empty key execute in
-    /// submission order, one at a time. Empty = no ordering constraint.
-    std::string session_id;
-
-    /// Executes on a worker thread. The returned status is forwarded to
-    /// `done` (after deadline post-processing).
-    std::function<util::Status()> work;
-
-    /// Completion callback; invoked exactly once, from a worker thread.
-    /// May be empty.
-    std::function<void(const util::Status&)> done;
-
-    /// Deadline, as a budget from submission time; zero means none.
-    std::chrono::steady_clock::duration deadline{0};
-
-    /// Fired by the watchdog when the deadline passes mid-execution.
-    /// Re-armed (Reset) by the worker just before `work` runs, which is
-    /// safe because requests sharing a CancelSource share a session_id
-    /// and are therefore serialized. Null = not cancellable (the request
-    /// can still miss its deadline before starting). The shared_ptr keeps
-    /// the source alive (SessionManager::CancelSourceFor).
-    std::shared_ptr<util::CancelSource> cancel;
   };
 
   explicit Scheduler(const Options& options);
@@ -84,77 +45,39 @@ class Scheduler {
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
-  /// Admits the request, or sheds with kResourceExhausted (queue full) /
-  /// kFailedPrecondition (shutting down). On a shed, `done` is NOT
-  /// invoked — the returned status is the whole story.
-  util::Status Submit(Request request);
+  /// Queues `task` behind every task posted before it; a free worker runs
+  /// it. Must not be called after Shutdown().
+  void Post(std::function<void()> task);
 
-  /// Stops admission, drains accepted requests, joins all threads.
-  /// Idempotent.
+  /// Fires `source` at `at` unless Disarm(returned id) runs first. The
+  /// shared_ptr keeps the source alive until then
+  /// (SessionManager::CancelSourceFor).
+  uint64_t Arm(std::chrono::steady_clock::time_point at,
+               std::shared_ptr<util::CancelSource> source);
+  void Disarm(uint64_t id);
+
+  /// Runs the tasks already posted, then joins every thread. Idempotent.
   void Shutdown();
 
-  struct Stats {
-    int64_t submitted = 0;        // accepted by Submit
-    int64_t executed = 0;         // ran work() to completion
-    int64_t shed = 0;             // rejected: queue full
-    int64_t deadline_misses = 0;  // expired before or during execution
-  };
-  Stats stats() const;
-
-  int queue_depth() const;
-
  private:
-  struct Pending {
-    Request request;
-    std::chrono::steady_clock::time_point deadline_at{};
-    bool has_deadline = false;
-  };
-
-  // Per-session FIFO: at most one request of a session is ever in ready_.
-  struct SessionLane {
-    bool busy = false;
-    std::deque<std::shared_ptr<Pending>> waiting;
-  };
-
   void WorkerLoop();
-  void Execute(const std::shared_ptr<Pending>& pending);
-  void FinishSession(const std::string& session_id);
-
-  // Deadline watchdog: a monotonic registry of (deadline, source) entries
-  // fired by one thread. Register/Unregister/fire all synchronize on
-  // watchdog_mu_, so a source is never fired after Unregister returned.
-  uint64_t WatchdogRegister(std::chrono::steady_clock::time_point at,
-                            std::shared_ptr<util::CancelSource> source);
-  void WatchdogUnregister(uint64_t id);
   void WatchdogLoop();
 
-  const Options options_;
-
-  mutable std::mutex mu_;
-  std::condition_variable work_cv_;    // workers: ready_ / shutdown
-  std::condition_variable drain_cv_;   // Shutdown: everything finished
-  std::deque<std::shared_ptr<Pending>> ready_;
-  std::map<std::string, SessionLane> lanes_;
-  int queued_ = 0;     // ready_ + all lane backlogs
-  int in_flight_ = 0;  // currently executing
-  bool accepting_ = true;
-  bool shutdown_ = false;
-  Stats stats_;
-
-  struct WatchdogEntry {
+  std::mutex mu_;  // guards everything below
+  std::condition_variable work_cv_;      // workers: tasks_ / shutdown_
+  std::condition_variable watchdog_cv_;  // watchdog: alarms_ / shutdown_
+  std::deque<std::function<void()>> tasks_;
+  struct Alarm {
     std::chrono::steady_clock::time_point at;
     std::shared_ptr<util::CancelSource> source;
   };
-  std::mutex watchdog_mu_;
-  std::condition_variable watchdog_cv_;
-  // Keyed by registration id; at most one entry per in-flight request, so
-  // the per-wakeup min scan is over a handful of entries.
-  std::map<uint64_t, WatchdogEntry> watchdog_entries_;
-  uint64_t watchdog_next_id_ = 1;
-  bool watchdog_shutdown_ = false;
+  // Keyed by Arm id; at most one alarm per executing request, so the
+  // watchdog's per-wakeup min scan is over a handful of entries.
+  std::map<uint64_t, Alarm> alarms_;
+  uint64_t next_alarm_ = 1;
+  bool shutdown_ = false;
 
-  util::ThreadPool pool_;
-  std::thread dispatcher_;  // runs pool_.Run(workers, WorkerLoop)
+  std::vector<std::thread> workers_;
   std::thread watchdog_;
 };
 

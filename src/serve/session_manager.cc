@@ -23,6 +23,12 @@ obs::Gauge* SessionsOpenGauge() {
   return gauge;
 }
 
+obs::Counter* SessionsCreatedCounter() {
+  static obs::Counter* const counter = obs::GetCounter(
+      "ptk_serve_sessions_total", "Serving sessions created");
+  return counter;
+}
+
 obs::Gauge* SessionBytesGauge() {
   static obs::Gauge* const gauge = obs::GetGauge(
       "ptk_serve_session_bytes",
@@ -69,6 +75,7 @@ SessionManager::SessionManager(const model::Database& db,
       "ptk_persist_catalog_warm_loads_total",
       "Pre-warm scans skipped by importing catalog artifacts");
   SessionsOpenGauge();  // register the families before any session exists
+  SessionsCreatedCounter();
   SessionBytesGauge();
   const int k = std::clamp(options_.k, 1, db.num_objects());
   auto membership = std::make_shared<rank::MembershipCalculator>(db, k);
@@ -187,8 +194,6 @@ void SessionManager::AdvanceIdsPast(const std::string& id) {
 
 util::StatusOr<std::string> SessionManager::CreateSession(
     const std::string& id, std::optional<core::SemanticsId> semantics) {
-  static obs::Counter* const created = obs::GetCounter(
-      "ptk_serve_sessions_total", "Serving sessions created");
   std::string session_id = id;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -202,7 +207,7 @@ util::StatusOr<std::string> SessionManager::CreateSession(
     }
     AdvanceIdsPast(session_id);
   }
-  created->Add();
+  SessionsCreatedCounter()->Add();
   SessionsOpenGauge()->Add();
   return session_id;
 }
@@ -368,10 +373,8 @@ util::StatusOr<std::vector<core::ScoredPair>> SessionManager::NextPairs(
   return picked;
 }
 
-util::Status SessionManager::FoldBatch(
-    Session* session,
-    const std::vector<std::pair<model::ObjectId, model::ObjectId>>& answers,
-    PostReport* report) {
+util::Status SessionManager::FoldBatch(Session* session, Answers answers,
+                                       PostReport* report) {
   util::Status status = util::Status::OK();
   for (const auto& [smaller, larger] : answers) {
     engine::RankingEngine::FoldOutcome outcome;
@@ -411,30 +414,6 @@ util::Status SessionManager::FoldBatch(
   return status;
 }
 
-util::Status SessionManager::PostAnswers(
-    const std::string& id,
-    const std::vector<std::pair<model::ObjectId, model::ObjectId>>& answers,
-    PostReport* report) {
-  *report = PostReport{};
-  const std::shared_ptr<Session> session = Find(id);
-  if (session == nullptr) {
-    return util::Status::NotFound("unknown session '" + id + "'");
-  }
-  obs::Span span("serve.post_answers");
-  std::lock_guard<std::mutex> lock(session->mu);
-  util::Status status = FoldBatch(session.get(), answers, report);
-  // Even a partially failed batch syncs what it journaled: the report
-  // tells the caller which answers took effect, and those must be as
-  // durable as a fully successful batch.
-  if (util::Status s = CommitJournal(session.get()); !s.ok() && status.ok()) {
-    status = s.WithContext("journal post_answers");
-  }
-  // Folds grow the session's delta (overrides, columns, node copies);
-  // re-account its share of the memory gauge while mu is still held.
-  AccountSessionBytes(session.get());
-  return status;
-}
-
 util::Status SessionManager::PostAnswersBatched(
     const std::string& id, std::vector<PostBatch>* batches) {
   const std::shared_ptr<Session> session = Find(id);
@@ -444,15 +423,17 @@ util::Status SessionManager::PostAnswersBatched(
   obs::Span span("serve.post_answers");
   std::lock_guard<std::mutex> lock(session->mu);
   // Folds run in list order, so every batch's report is identical to what
-  // sequential PostAnswers calls would have produced; a mid-batch failure
+  // sequential one-batch calls would have produced; a mid-batch failure
   // stops that batch only, exactly like its own call would have.
   for (PostBatch& batch : *batches) {
     batch.report = PostReport{};
     batch.status = FoldBatch(session.get(), batch.answers, &batch.report);
   }
-  // The coalescing win: one journal commit (fsync or snapshot) for the
-  // whole group. A commit failure poisons every batch that thought it
-  // succeeded — their durability claim is what just failed.
+  // One journal commit (fsync or snapshot) for every batch. Even a
+  // partially failed batch commits what it journaled: its report tells
+  // the caller which answers took effect, and those must be as durable as
+  // a fully successful batch. A commit failure poisons every batch that
+  // thought it succeeded — their durability claim is what just failed.
   if (util::Status s = CommitJournal(session.get()); !s.ok()) {
     for (PostBatch& batch : *batches) {
       if (batch.status.ok()) {
@@ -460,8 +441,21 @@ util::Status SessionManager::PostAnswersBatched(
       }
     }
   }
+  // Folds grow the session's delta (overrides, columns, node copies);
+  // re-account its share of the memory gauge while mu is still held.
   AccountSessionBytes(session.get());
   return util::Status::OK();
+}
+
+util::Status SessionManager::PostAnswers(
+    const std::string& id,
+    const std::vector<std::pair<model::ObjectId, model::ObjectId>>& answers,
+    PostReport* report) {
+  std::vector<PostBatch> batches(1);
+  batches[0].answers = answers;
+  const util::Status found = PostAnswersBatched(id, &batches);
+  *report = batches[0].report;
+  return found.ok() ? batches[0].status : found;
 }
 
 util::StatusOr<pw::TopKDistribution> SessionManager::Distribution(

@@ -9,6 +9,7 @@
 #include <mutex>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -56,10 +57,11 @@ namespace ptk::serve {
 ///
 /// Cancellation: each session carries one util::CancelSource whose token
 /// is threaded into its engine's enumeration and selection hot loops. The
-/// scheduler's deadline watchdog fires it from outside the worker running
-/// the request; an affected operation returns util::Status::Cancelled.
-/// The source is re-armed between requests of the same session (which the
-/// scheduler serializes) — see CancelScope.
+/// executor's deadline watchdog (serve::Scheduler) fires it from outside
+/// the worker running the request; an affected operation returns
+/// util::Status::Cancelled. The runtime re-arms the source as each request
+/// of the session starts (it runs a session's requests one at a time) —
+/// see CancelSourceFor.
 class SessionManager {
  public:
   struct Options {
@@ -182,29 +184,15 @@ class SessionManager {
   util::StatusOr<std::vector<core::ScoredPair>> NextPairs(
       const std::string& id, int count);
 
-  /// Folds crowd answers — each pair is (smaller, larger): the first
-  /// object ranks above (is smaller than) the second — into the session's
-  /// constraint set, in order. Stops at the first structural error
-  /// (invalid object id); rejected-but-well-formed answers are tallied,
-  /// not errors.
-  ///
-  /// `report` is an out-parameter precisely so it survives a mid-batch
-  /// failure: on a non-OK return it tallies the answers folded *before*
-  /// the failing one (the earlier StatusOr shape discarded that progress,
-  /// leaving callers unable to tell which answers of a partial batch took
-  /// effect). It is always written, never left stale.
-  util::Status PostAnswers(
-      const std::string& id,
-      const std::vector<std::pair<model::ObjectId, model::ObjectId>>&
-          answers,
-      PostReport* report);
+  /// The answers of one post_answers batch: each pair is (smaller,
+  /// larger) — the first object ranks above (is smaller than) the second.
+  using Answers = std::span<const std::pair<model::ObjectId, model::ObjectId>>;
 
-  /// One coalesced post_answers batch: the runtime folds several queued
-  /// same-session batches under ONE session lock, ONE engine pass, and
-  /// ONE journal commit (fsync / snapshot decision) instead of one each.
+  /// One post_answers batch of a PostAnswersBatched call.
   struct PostBatch {
-    /// In: the batch's answers, as in PostAnswers.
-    std::vector<std::pair<model::ObjectId, model::ObjectId>> answers;
+    /// In: the batch's answers, viewed, not copied (the caller keeps them
+    /// alive for the call).
+    Answers answers;
     /// Out: this batch's own outcome — identical, item for item, to what
     /// the same batches issued as sequential PostAnswers calls would
     /// have reported (folds happen in list order).
@@ -212,13 +200,31 @@ class SessionManager {
     PostReport report;
   };
 
-  /// Applies the batches in order against one session. Returns kNotFound
-  /// (and touches no batch outcome) when the session is unknown;
-  /// otherwise OK, with every batch's own result in its status/report.
-  /// After a batch fails mid-way the remaining batches still run — just
-  /// as they would have under sequential PostAnswers calls.
+  /// Folds batches of crowd answers into one session's constraint set, in
+  /// order, under ONE session lock, ONE engine pass and ONE journal
+  /// commit (fsync / snapshot decision) — how the runtime serves a group
+  /// of queued posts. Returns kNotFound (and touches no batch outcome)
+  /// when the session is unknown; otherwise OK, with every batch's own
+  /// result in its status/report.
+  ///
+  /// A batch stops at its first structural error (invalid object id);
+  /// rejected-but-well-formed answers are tallied, not errors. Its report
+  /// then tallies the answers folded *before* the failing one, and those
+  /// stay folded and are committed with the rest. The remaining batches
+  /// still run — just as they would have under sequential calls. A failed
+  /// journal commit becomes the status of every batch that had succeeded.
   util::Status PostAnswersBatched(const std::string& id,
                                   std::vector<PostBatch>* batches);
+
+  /// The one-batch case of PostAnswersBatched, with the outer kNotFound
+  /// and the batch's own status folded into one. `report` is always
+  /// written, never left stale: on a non-OK return it tallies the answers
+  /// folded before the failure.
+  util::Status PostAnswers(
+      const std::string& id,
+      const std::vector<std::pair<model::ObjectId, model::ObjectId>>&
+          answers,
+      PostReport* report);
 
   /// The session's conditioned top-k distribution (memoized per
   /// constraint-set version).
@@ -232,8 +238,8 @@ class SessionManager {
 
   /// A handle that keeps the session's CancelSource alive independent of
   /// Close() racing in; null `source` means the id was unknown. The
-  /// scheduler re-arms the source before each request it runs for the
-  /// session and hands it to the deadline watchdog.
+  /// runtime re-arms the source as each request of the session starts and
+  /// hands it to the deadline watchdog.
   struct CancelHandle {
     std::shared_ptr<util::CancelSource> source;
   };
@@ -315,14 +321,10 @@ class SessionManager {
   void AdvanceIdsPast(const std::string& id);
 
   /// Folds one batch's answers into the session (caller holds
-  /// session->mu), journaling each one — the per-answer core both
-  /// PostAnswers and PostAnswersBatched share. Does NOT commit the
-  /// journal; the caller owns the batch-final CommitJournal.
-  util::Status FoldBatch(
-      Session* session,
-      const std::vector<std::pair<model::ObjectId, model::ObjectId>>&
-          answers,
-      PostReport* report);
+  /// session->mu), journaling each one. Does NOT commit the journal; the
+  /// caller owns the final CommitJournal.
+  util::Status FoldBatch(Session* session, Answers answers,
+                         PostReport* report);
 
   bool persist_enabled() const { return !options_.persist.dir.empty(); }
 

@@ -20,7 +20,7 @@ namespace ptk::util {
 /// safe from any thread (the serving runtime's deadline watchdog fires it
 /// from outside the worker executing the request); Reset() re-arms a
 /// source between requests and must not race with a loop still polling
-/// the token — the serving scheduler guarantees that by resetting only
+/// the token — the serving runtime guarantees that by resetting only
 /// between requests of the same (serialized) session.
 class CancelSource {
  public:

@@ -2,15 +2,23 @@
 //
 // The load-bearing guarantees:
 //   * bit-identity — the same request stream produces SameResponse-equal
-//     transcripts with coalescing on or off, and on 1 shard or N (the
+//     transcripts through the runtime, on 1 shard or N and 1 worker or
+//     several, and through one manager driven a request at a time (the
 //     big-N version lives in shared_sessions_test; check.sh also pins the
-//     server transcript at --shards 2 against the golden);
-//   * coalescing really coalesces — posts queued behind a busy session
-//     merge into one engine pass, idle-session reads join one batch —
-//     without reordering any session's requests;
+//     server transcript at --shards 2 and --workers 4 --shards 3 against
+//     the golden);
+//   * grouping really groups — posts queued behind a busy session merge
+//     into one engine pass, idle-session reads join one batch — without
+//     reordering or overlapping any session's requests;
+//   * deadlines reach every item: an item that expired while queued is
+//     not executed, a running selection or read is cancelled at its
+//     deadline, and the session serves normally afterwards;
 //   * admission sheds with a structured retry_after_ms hint, inline.
-// The suite is run under TSan by tools/check.sh.
+// The suite is run under TSan and ASan by tools/check.sh.
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdlib>
 #include <filesystem>
@@ -18,6 +26,7 @@
 #include <mutex>
 #include <string>
 #include <system_error>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -26,8 +35,11 @@
 #include "core/selector.h"
 #include "data/synthetic.h"
 #include "engine/ranking_engine.h"
+#include "obs/metrics.h"
 #include "serve/message.h"
+#include "serve/protocol.h"
 #include "serve/runtime.h"
+#include "util/cancellation.h"
 #include "util/status.h"
 #include "util/statusor.h"
 
@@ -55,7 +67,7 @@ Runtime::Options BaseOptions() {
   options.manager.k = 3;
   options.manager.fanout = 4;
   options.scheduler.workers = 2;
-  options.scheduler.queue_capacity = 64;
+  options.queue_capacity = 64;
   return options;
 }
 
@@ -130,42 +142,37 @@ void ExpectSameTranscript(const std::vector<Response>& a,
   }
 }
 
-TEST(RuntimeTest, CoalescedMatchesUncoalesced) {
+// The reference is one SessionManager driven one request at a time, as
+// perfbench's replay check drives it: every shard count and worker count
+// must answer the interleaved script bit-identically.
+TEST(RuntimeTest, MatchesSequentialManager) {
   const model::Database db = TestDb();
   const std::vector<Request> script = EquivalenceScript();
 
-  Runtime::Options coalesced = BaseOptions();
-  Runtime on(db, coalesced);
-  const std::vector<Response> with = RunThrough(on, script);
-  on.Shutdown();
+  serve::SessionManager reference(db, BaseOptions().manager);
+  std::vector<Response> expected;
+  for (const Request& request : script) {
+    expected.push_back(serve::ExecuteRequest(reference, nullptr, request));
+  }
+  EXPECT_EQ(expected.back().status.code(), Status::Code::kNotFound);
 
-  Runtime::Options uncoalesced = BaseOptions();
-  uncoalesced.coalesce = false;
-  Runtime off(db, uncoalesced);
-  const std::vector<Response> without = RunThrough(off, script);
-  off.Shutdown();
-
-  ExpectSameTranscript(with, without);
-  const Response& ghost = with.back();
-  EXPECT_EQ(ghost.status.code(), Status::Code::kNotFound);
-}
-
-TEST(RuntimeTest, ShardedMatchesSingleShard) {
-  const model::Database db = TestDb();
-  const std::vector<Request> script = EquivalenceScript();
-
-  Runtime one(db, BaseOptions());
-  const std::vector<Response> single = RunThrough(one, script);
-  one.Shutdown();
-
-  Runtime::Options sharded_options = BaseOptions();
-  sharded_options.shards = 3;
-  Runtime three(db, sharded_options);
-  const std::vector<Response> sharded = RunThrough(three, script);
-  three.Shutdown();
-  EXPECT_EQ(three.shards(), 3);
-
-  ExpectSameTranscript(single, sharded);
+  for (const int shards : {1, 3}) {
+    for (const int workers : {1, 4}) {
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
+                   " workers=" + std::to_string(workers));
+      Runtime::Options options = BaseOptions();
+      options.shards = shards;
+      options.scheduler.workers = workers;
+      Runtime runtime(db, options);
+      ExpectSameTranscript(expected, RunThrough(runtime, script));
+      // Every admitted request left the queue: merged items included.
+      const Response metrics =
+          RunThrough(runtime, {Make(Op::kMetrics, "m")})[0];
+      EXPECT_EQ(std::get<Response::Metrics>(metrics.payload).queue_depth, 0);
+      runtime.Shutdown();
+      EXPECT_EQ(runtime.shards(), shards);
+    }
+  }
 }
 
 // Blocks the first SelectPairs call until released, so a test can park a
@@ -250,7 +257,7 @@ TEST(RuntimeTest, PostsMergeBehindABusySession) {
   gate.Release();
   runtime.Shutdown();
 
-  EXPECT_EQ(runtime.stats().coalesced_posts, 2);
+  EXPECT_EQ(runtime.stats().merged_posts, 2);
   ASSERT_EQ(late.size(), 4u);
   // Whatever each fold's outcome is in this dataset (applied,
   // contradictory, ...), the merged group's per-batch reports must be
@@ -305,10 +312,12 @@ TEST(RuntimeTest, ShedsInlineWithRetryHint) {
   const model::Database db = TestDb();
   Gate gate;
   Runtime::Options options = GatedOptions(&gate);
-  options.scheduler.queue_capacity = 2;
-  options.shed_retry_after_ms = 7;
-  options.coalesce = false;
+  options.queue_capacity = 2;
   Runtime runtime(db, options);
+#if PTK_METRICS
+  obs::Counter* shed_total = obs::GetCounter("ptk_serve_shed_total", "");
+  const int64_t shed_before = shed_total->Value();
+#endif
 
   ASSERT_TRUE(
       RunThrough(runtime, {Make(Op::kCreateSession, "c")})[0].status.ok());
@@ -327,14 +336,15 @@ TEST(RuntimeTest, ShedsInlineWithRetryHint) {
     post.answers = {{0, 1}};
     runtime.Submit(post, collect);
   }
-  // Queue full: the third post is rejected before touching any queue,
-  // inline from Submit, with the structured retry hint.
+  // Queue full — admission counts requests, not the one group the two
+  // posts merged into: the third post is rejected before touching any
+  // queue, inline from Submit, with the structured retry hint.
   Request overflow = Make(Op::kPostAnswers, "a2", "s1");
   overflow.answers = {{1, 2}};
   bool shed_inline = false;
   runtime.Submit(overflow, [&](Response response) {
     EXPECT_EQ(response.status.code(), Status::Code::kResourceExhausted);
-    EXPECT_EQ(response.retry_after_ms, 7);
+    EXPECT_EQ(response.retry_after_ms, Runtime::kShedRetryAfterMs);
     EXPECT_EQ(response.id, "a2");
     shed_inline = true;
   });
@@ -342,10 +352,246 @@ TEST(RuntimeTest, ShedsInlineWithRetryHint) {
   gate.Release();
   runtime.Shutdown();
 
+  EXPECT_EQ(runtime.stats().merged_posts, 1);
   EXPECT_EQ(runtime.stats().shed, 1);
+#if PTK_METRICS
+  EXPECT_EQ(shed_total->Value() - shed_before, 1);
+#endif
   ASSERT_EQ(responses.size(), 3u);
   for (const Response& response : responses) {
     EXPECT_TRUE(response.status.ok()) << response.status.ToString();
+  }
+}
+
+TEST(RuntimeTest, ItemExpiredWhileQueuedIsNotExecuted) {
+  const model::Database db = TestDb();
+  Gate gate;
+  Runtime runtime(db, GatedOptions(&gate));
+#if PTK_METRICS
+  obs::Counter* misses = obs::GetCounter("ptk_serve_deadline_miss_total", "");
+  const int64_t misses_before = misses->Value();
+#endif
+
+  ASSERT_EQ(RunThrough(runtime, {Make(Op::kCreateSession, "c1"),
+                                 Make(Op::kCreateSession, "c2")})
+                .size(),
+            2u);
+  Request pairs = Make(Op::kNextPairs, "n", "s1");
+  runtime.Submit(pairs, [](Response response) {
+    EXPECT_TRUE(response.status.ok()) << response.status.ToString();
+  });
+  gate.AwaitEntered();  // the only worker is parked inside next_pairs
+  Request doomed = Make(Op::kQuality, "q", "s2");
+  doomed.deadline_ms = 1;
+  Response observed;
+  runtime.Submit(doomed, [&](Response response) {
+    observed = std::move(response);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  gate.Release();
+  runtime.Shutdown();
+
+  EXPECT_EQ(observed.id, "q");
+  EXPECT_EQ(observed.status.code(), Status::Code::kDeadlineExceeded);
+  EXPECT_EQ(observed.status.message(),
+            "deadline expired while queued; request not executed");
+  EXPECT_EQ(runtime.stats().deadline_misses, 1);
+#if PTK_METRICS
+  EXPECT_EQ(misses->Value() - misses_before, 1);
+#endif
+}
+
+// A selector that spins until the engine's cancel token fires, as the
+// real selection loops poll it between batches; gives up after 10 s.
+class CancelPollingSelector : public core::PairSelector {
+ public:
+  explicit CancelPollingSelector(const std::atomic<bool>* token)
+      : token_(token) {}
+  Status SelectPairs(int, std::vector<core::ScoredPair>*) override {
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (std::chrono::steady_clock::now() < give_up) {
+      if (util::CancelRequested(token_)) {
+        return Status::Cancelled("selection sweep aborted");
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return Status::Internal("watchdog never fired");
+  }
+  std::string name() const override { return "cancel-polling"; }
+
+ private:
+  const std::atomic<bool>* token_;
+};
+
+Runtime::Options CancelPollingOptions() {
+  Runtime::Options options = BaseOptions();
+  options.manager.selector_factory = [](engine::RankingEngine& engine) {
+    return std::make_unique<CancelPollingSelector>(
+        engine.options().enumerator.cancel);
+  };
+  return options;
+}
+
+TEST(RuntimeTest, WatchdogCancelsSelectionAtItsDeadline) {
+  const model::Database db = TestDb();
+  Runtime runtime(db, CancelPollingOptions());
+#if PTK_METRICS
+  obs::Counter* misses = obs::GetCounter("ptk_serve_deadline_miss_total", "");
+  const int64_t misses_before = misses->Value();
+#endif
+
+  ASSERT_TRUE(
+      RunThrough(runtime, {Make(Op::kCreateSession, "c")})[0].status.ok());
+  Request pairs = Make(Op::kNextPairs, "n", "s1");
+  pairs.deadline_ms = 50;
+  const Response response = RunThrough(runtime, {pairs})[0];
+  runtime.Shutdown();
+
+  // The cancellation was the deadline's doing, so it is reported as a
+  // deadline miss, with the interrupted operation's own message kept.
+  EXPECT_EQ(response.status.code(), Status::Code::kDeadlineExceeded)
+      << response.status.ToString();
+  EXPECT_NE(response.status.message().find(
+                "deadline expired during execution"),
+            std::string::npos)
+      << response.status.ToString();
+  EXPECT_NE(response.status.message().find("selection sweep aborted"),
+            std::string::npos)
+      << response.status.ToString();
+  EXPECT_EQ(runtime.stats().deadline_misses, 1);
+#if PTK_METRICS
+  EXPECT_EQ(misses->Value() - misses_before, 1);
+#endif
+}
+
+// The watchdog fires the session's one CancelSource; the next request on
+// the session must start re-armed, not inherit the cancellation.
+TEST(RuntimeTest, DeadlineCancelledSelectionLeavesSessionUsable) {
+  const model::Database db = TestDb();
+  Runtime runtime(db, CancelPollingOptions());
+
+  ASSERT_TRUE(
+      RunThrough(runtime, {Make(Op::kCreateSession, "c")})[0].status.ok());
+  Request pairs = Make(Op::kNextPairs, "n", "s1");
+  pairs.deadline_ms = 20;
+  const std::vector<Response> responses =
+      RunThrough(runtime, {pairs, Make(Op::kDistribution, "d", "s1"),
+                           Make(Op::kQuality, "q", "s1")});
+  runtime.Shutdown();
+
+  EXPECT_EQ(responses[0].status.code(), Status::Code::kDeadlineExceeded)
+      << responses[0].status.ToString();
+  EXPECT_TRUE(responses[1].status.ok()) << responses[1].status.ToString();
+  EXPECT_TRUE(responses[2].status.ok()) << responses[2].status.ToString();
+}
+
+// An exact read over one large answer component runs for about a second;
+// its deadline must stop it, not let it run to the end and answer ok.
+TEST(RuntimeTest, ReadsStopAtTheirDeadline) {
+  data::SynOptions syn;
+  syn.num_objects = 1000;
+  syn.avg_instances = 3;
+  syn.value_range = 1000.0;
+  syn.cluster_width = 50.0;
+  syn.seed = 6;
+  const model::Database db = data::MakeSynDataset(syn);
+  Runtime::Options options;
+  options.manager.k = 5;
+  Runtime runtime(db, options);
+
+  // A star "x < pivot" over the objects of lowest expected value: the
+  // contested head of the ranking, joined into one component.
+  constexpr model::ObjectId kPivot = 900;
+  std::vector<model::ObjectId> head;
+  for (model::ObjectId oid = 0; oid < db.num_objects(); ++oid) {
+    if (oid != kPivot) head.push_back(oid);
+  }
+  std::stable_sort(head.begin(), head.end(),
+                   [&](model::ObjectId a, model::ObjectId b) {
+                     return db.object(a).ExpectedValue() <
+                            db.object(b).ExpectedValue();
+                   });
+  Request star = Make(Op::kPostAnswers, "star", "s1");
+  for (int i = 0; i < 13; ++i) star.answers.push_back({head[i], kPivot});
+  const std::vector<Response> setup =
+      RunThrough(runtime, {Make(Op::kCreateSession, "c"), star});
+  ASSERT_TRUE(setup[0].status.ok()) << setup[0].status.ToString();
+  ASSERT_TRUE(setup[1].status.ok()) << setup[1].status.ToString();
+  EXPECT_EQ(std::get<Response::Posted>(setup[1].payload).report.applied, 13);
+
+  // Submitted once the star is in: the read starts at once, well inside
+  // its deadline, and must be stopped by it.
+  Request read = Make(Op::kQuality, "q", "s1");
+  read.deadline_ms = 20;
+  const Response response = RunThrough(runtime, {read})[0];
+  runtime.Shutdown();
+  EXPECT_EQ(response.status.code(), Status::Code::kDeadlineExceeded)
+      << response.status.ToString();
+}
+
+// Counts the requests answered before each selection starts: with a
+// session's requests strictly one at a time, selection j starts after
+// exactly j answers.
+class StartProbeSelector : public core::PairSelector {
+ public:
+  StartProbeSelector(std::unique_ptr<core::PairSelector> inner,
+                     const std::atomic<int>* answered, std::mutex* mu,
+                     std::vector<int>* starts)
+      : inner_(std::move(inner)), answered_(answered), mu_(mu),
+        starts_(starts) {}
+  Status SelectPairs(int t, std::vector<core::ScoredPair>* out) override {
+    {
+      std::lock_guard<std::mutex> lock(*mu_);
+      starts_->push_back(answered_->load());
+    }
+    return inner_->SelectPairs(t, out);
+  }
+  std::string name() const override { return inner_->name(); }
+
+ private:
+  std::unique_ptr<core::PairSelector> inner_;
+  const std::atomic<int>* answered_;
+  std::mutex* mu_;
+  std::vector<int>* starts_;
+};
+
+TEST(RuntimeTest, SameSessionRequestsRunInOrderWithoutOverlap) {
+  const model::Database db = TestDb();
+  std::atomic<int> answered{0};
+  std::mutex mu;
+  std::vector<int> starts;
+  std::vector<std::string> order;
+  Runtime::Options options = BaseOptions();
+  options.scheduler.workers = 4;
+  options.manager.selector_factory = [&](engine::RankingEngine& engine) {
+    return std::make_unique<StartProbeSelector>(
+        engine.MakeSelector(core::SelectorKind::kOpt), &answered, &mu,
+        &starts);
+  };
+  Runtime runtime(db, options);
+  ASSERT_TRUE(
+      RunThrough(runtime, {Make(Op::kCreateSession, "c")})[0].status.ok());
+
+  constexpr int kRequests = 16;
+  for (int i = 0; i < kRequests; ++i) {
+    runtime.Submit(Make(Op::kNextPairs, "n" + std::to_string(i), "s1"),
+                   [&](Response response) {
+                     EXPECT_TRUE(response.status.ok())
+                         << response.status.ToString();
+                     std::lock_guard<std::mutex> lock(mu);
+                     order.push_back(response.id);
+                     answered.fetch_add(1);
+                   });
+  }
+  runtime.Shutdown();
+
+  ASSERT_EQ(order.size(), static_cast<size_t>(kRequests));
+  ASSERT_EQ(starts.size(), static_cast<size_t>(kRequests));
+  for (int i = 0; i < kRequests; ++i) {
+    EXPECT_EQ(order[i], "n" + std::to_string(i));
+    EXPECT_EQ(starts[i], i) << "request " << i << " overlapped its "
+                            << "predecessor";
   }
 }
 
@@ -385,6 +631,7 @@ TEST(RuntimeTest, MetricsBarrierAggregatesAllShards) {
   EXPECT_EQ(payload.session_bytes[1].session, "s2");
   EXPECT_EQ(payload.session_bytes[2].session, "s3");
   EXPECT_TRUE(payload.has_scheduler);
+  EXPECT_EQ(payload.queue_depth, 0);
   EXPECT_EQ(payload.submitted, 4);
   EXPECT_EQ(payload.executed, 3);  // the metrics op itself runs inline
 }

@@ -1,17 +1,14 @@
-// The concurrent serving runtime (src/serve/): session manager, deadline
-// scheduler, and the JSON-lines protocol.
+// The concurrent serving layer (src/serve/): session manager and the
+// JSON-lines protocol. The runtime in front of them (admission, grouping,
+// deadlines) is tested in runtime_test.
 //
 // The load-bearing guarantee is pinned by ConcurrentMatchesSequential: N
-// sessions interleaved across scheduler workers produce results
-// bit-identical to the same operations run back-to-back on one thread —
-// sharing the base artifacts buys throughput, never different answers.
-// The suite is run under TSan by tools/check.sh.
+// sessions driven from concurrent threads produce results bit-identical
+// to the same operations run back-to-back on one thread — sharing the
+// base artifacts buys throughput, never different answers. The suite is
+// run under TSan by tools/check.sh.
 
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
@@ -27,7 +24,6 @@
 #include "serve/codec.h"
 #include "serve/message.h"
 #include "serve/protocol.h"
-#include "serve/scheduler.h"
 #include "serve/session_manager.h"
 #include "util/cancellation.h"
 #include "util/status.h"
@@ -115,31 +111,25 @@ TEST(SessionManagerTest, ConcurrentMatchesSequential) {
     }
   }
 
-  // Concurrent: every session's whole script runs as one scheduler
-  // request per session, interleaved across 4 workers.
+  // Concurrent: every session's whole script runs on its own thread,
+  // all against one manager.
   std::vector<SessionResult> concurrent(kSessions);
   {
     serve::SessionManager manager(db, ManagerOptions());
-    serve::Scheduler::Options scheduler_options;
-    scheduler_options.workers = 4;
-    scheduler_options.queue_capacity = 2 * kSessions;
-    serve::Scheduler scheduler(scheduler_options);
-    std::vector<Status> outcomes(kSessions);
+    std::vector<std::string> ids;
     for (int i = 0; i < kSessions; ++i) {
       StatusOr<std::string> id = manager.CreateSession();
       ASSERT_TRUE(id.ok()) << id.status().ToString();
-      serve::Scheduler::Request request;
-      request.session_id = *id;
-      const std::string session_id = *id;
-      request.work = [&manager, &db, i, session_id, &concurrent] {
-        return RunScript(manager, db, i, session_id, &concurrent[i]);
-      };
-      request.done = [&outcomes, i](const Status& status) {
-        outcomes[i] = status;
-      };
-      ASSERT_TRUE(scheduler.Submit(std::move(request)).ok());
+      ids.push_back(*id);
     }
-    scheduler.Shutdown();
+    std::vector<Status> outcomes(kSessions);
+    std::vector<std::thread> threads;
+    for (int i = 0; i < kSessions; ++i) {
+      threads.emplace_back([&, i] {
+        outcomes[i] = RunScript(manager, db, i, ids[i], &concurrent[i]);
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
     for (int i = 0; i < kSessions; ++i) {
       ASSERT_TRUE(outcomes[i].ok()) << i << ": " << outcomes[i].ToString();
     }
@@ -262,185 +252,6 @@ TEST(SessionManagerTest, CancellationAbortsSelectionCleanly) {
       manager.NextPairs(*id, 1);
   ASSERT_TRUE(pairs.ok()) << pairs.status().ToString();
   EXPECT_EQ(pairs->size(), 1u);
-}
-
-TEST(SchedulerTest, DeadlineExpiredWhileQueuedSkipsExecution) {
-  serve::Scheduler::Options options;
-  options.workers = 1;
-  serve::Scheduler scheduler(options);
-
-  std::mutex mu;
-  std::condition_variable cv;
-  bool release = false;
-  bool blocker_started = false;
-
-  serve::Scheduler::Request blocker;
-  blocker.session_id = "a";
-  blocker.work = [&] {
-    std::unique_lock<std::mutex> lock(mu);
-    blocker_started = true;
-    cv.notify_all();
-    cv.wait(lock, [&] { return release; });
-    return Status::OK();
-  };
-  ASSERT_TRUE(scheduler.Submit(std::move(blocker)).ok());
-  {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return blocker_started; });
-  }
-
-  std::atomic<bool> ran{false};
-  Status observed = Status::OK();
-  std::atomic<bool> done{false};
-  serve::Scheduler::Request doomed;
-  doomed.session_id = "b";
-  doomed.deadline = std::chrono::milliseconds(1);
-  doomed.work = [&] {
-    ran.store(true);
-    return Status::OK();
-  };
-  doomed.done = [&](const Status& status) {
-    observed = status;
-    done.store(true);
-  };
-  ASSERT_TRUE(scheduler.Submit(std::move(doomed)).ok());
-
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    release = true;
-  }
-  cv.notify_all();
-  scheduler.Shutdown();
-
-  EXPECT_TRUE(done.load());
-  EXPECT_FALSE(ran.load());
-  EXPECT_EQ(observed.code(), Status::Code::kDeadlineExceeded);
-  EXPECT_EQ(scheduler.stats().deadline_misses, 1);
-}
-
-TEST(SchedulerTest, WatchdogCancelsMidExecutionAsDeadlineExceeded) {
-  serve::Scheduler::Options options;
-  options.workers = 1;
-  serve::Scheduler scheduler(options);
-
-  auto source = std::make_shared<util::CancelSource>();
-  Status observed = Status::OK();
-  std::atomic<bool> saw_cancel{false};
-
-  serve::Scheduler::Request request;
-  request.session_id = "a";
-  request.deadline = std::chrono::milliseconds(5);
-  request.cancel = source;
-  request.work = [&]() -> Status {
-    // A cooperative hot loop: poll the token like the selectors do.
-    const auto give_up =
-        std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while (std::chrono::steady_clock::now() < give_up) {
-      if (util::CancelRequested(source->token())) {
-        saw_cancel.store(true);
-        return Status::Cancelled("selection sweep aborted");
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    return Status::Internal("watchdog never fired");
-  };
-  request.done = [&](const Status& status) { observed = status; };
-  ASSERT_TRUE(scheduler.Submit(std::move(request)).ok());
-  scheduler.Shutdown();
-
-  EXPECT_TRUE(saw_cancel.load());
-  EXPECT_EQ(observed.code(), Status::Code::kDeadlineExceeded)
-      << observed.ToString();
-  EXPECT_EQ(scheduler.stats().deadline_misses, 1);
-}
-
-TEST(SchedulerTest, FullQueueShedsWithoutBlockingOrDeadlock) {
-  serve::Scheduler::Options options;
-  options.workers = 1;
-  options.queue_capacity = 2;
-  serve::Scheduler scheduler(options);
-
-  std::mutex mu;
-  std::condition_variable cv;
-  bool release = false;
-  bool blocker_started = false;
-  std::atomic<int> completed{0};
-
-  serve::Scheduler::Request blocker;
-  blocker.session_id = "hog";
-  blocker.work = [&] {
-    std::unique_lock<std::mutex> lock(mu);
-    blocker_started = true;
-    cv.notify_all();
-    cv.wait(lock, [&] { return release; });
-    return Status::OK();
-  };
-  blocker.done = [&](const Status&) { completed.fetch_add(1); };
-  ASSERT_TRUE(scheduler.Submit(std::move(blocker)).ok());
-  {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return blocker_started; });
-  }
-
-  // The worker is busy; capacity 2 admits exactly two more.
-  for (int i = 0; i < 2; ++i) {
-    serve::Scheduler::Request queued;
-    queued.session_id = "q" + std::to_string(i);
-    queued.work = [] { return Status::OK(); };
-    queued.done = [&](const Status&) { completed.fetch_add(1); };
-    ASSERT_TRUE(scheduler.Submit(std::move(queued)).ok());
-  }
-  serve::Scheduler::Request overflow;
-  overflow.work = [] { return Status::OK(); };
-  overflow.done = [](const Status&) {
-    FAIL() << "done must not fire for shed requests";
-  };
-  const Status shed = scheduler.Submit(std::move(overflow));
-  EXPECT_EQ(shed.code(), Status::Code::kResourceExhausted);
-  EXPECT_NE(shed.message().find("retry"), std::string::npos)
-      << shed.ToString();
-  EXPECT_EQ(scheduler.stats().shed, 1);
-
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    release = true;
-  }
-  cv.notify_all();
-  scheduler.Shutdown();
-  EXPECT_EQ(completed.load(), 3);
-  EXPECT_EQ(scheduler.stats().executed, 3);
-}
-
-TEST(SchedulerTest, SameSessionRequestsSerializeInOrder) {
-  serve::Scheduler::Options options;
-  options.workers = 4;
-  serve::Scheduler scheduler(options);
-
-  std::mutex mu;
-  std::vector<int> order;
-  std::atomic<int> concurrent{0};
-  std::atomic<int> max_concurrent{0};
-  for (int i = 0; i < 16; ++i) {
-    serve::Scheduler::Request request;
-    request.session_id = "one";
-    request.work = [&, i] {
-      const int now = concurrent.fetch_add(1) + 1;
-      int seen = max_concurrent.load();
-      while (now > seen && !max_concurrent.compare_exchange_weak(seen, now)) {
-      }
-      std::lock_guard<std::mutex> lock(mu);
-      order.push_back(i);
-      concurrent.fetch_sub(1);
-      return Status::OK();
-    };
-    ASSERT_TRUE(scheduler.Submit(std::move(request)).ok());
-  }
-  scheduler.Shutdown();
-
-  EXPECT_EQ(max_concurrent.load(), 1) << "session lane must serialize";
-  ASSERT_EQ(order.size(), 16u);
-  for (int i = 0; i < 16; ++i) EXPECT_EQ(order[i], i);
 }
 
 TEST(ProtocolTest, ParsesAndValidatesStrictly) {

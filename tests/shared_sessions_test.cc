@@ -283,7 +283,7 @@ TEST(SharedSessions, ShardedRuntimeMatchesSingleShardBitwise) {
     options.shards = shards;
     options.manager = ManagerOptions();
     options.scheduler.workers = 3;
-    options.scheduler.queue_capacity = 4 * kSessions;
+    options.queue_capacity = 4 * kSessions;
     serve::Runtime runtime(db, options);
     std::vector<std::string> ids(kSessions);
     for (int i = 0; i < kSessions; ++i) {

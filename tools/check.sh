@@ -6,7 +6,8 @@
 # selector output, byte-identical CLI stdout), a PTK_SIMD=OFF cross-build
 # proving the scalar kernel fallback reproduces the vectorized build byte
 # for byte, serving-transcript gates (JSON smoke vs golden; 2-shard and
-# no-coalesce runs vs the same golden; the binary wire format decoded back
+# 4-worker 3-shard runs vs the same golden; a malformed numeric flag must
+# exit 2; the binary wire format decoded back
 # to JSON vs the JSON frontend's bytes; a per-session ranking-semantics
 # transcript vs its own golden through both wire formats), semantics
 # recovery gates (journaled objective replays bit-identically, unknown
@@ -46,7 +47,8 @@ cmake --build build-tsan -j "$JOBS" \
 ./build-tsan/tests/epoch_test
 ./build-tsan/tests/shared_sessions_test
 # The sharded, coalescing runtime: group merging under the shard mutex,
-# the metrics drain barrier, and inline shed responses all race-tested.
+# the metrics drain barrier, inline shed responses and the deadline
+# watchdog firing from its own thread, all race-tested.
 ./build-tsan/tests/runtime_test
 
 echo "== PTK_METRICS=OFF cross-build: instrumentation must be inert =="
@@ -111,7 +113,7 @@ for fam in ptk_serve_sessions_open ptk_serve_sessions_total \
     || { echo "missing metric family: $fam"; exit 1; }
 done
 NORMALIZE='s/"queue_depth":[0-9]+/"queue_depth":N/; s/"submitted":[0-9]+/"submitted":N/; s/"executed":[0-9]+/"executed":N/'
-echo "== sharded smoke: 2 shards and --no-coalesce must replay the golden byte-identically =="
+echo "== sharded smoke: 2 shards and 4 workers x 3 shards must replay the golden byte-identically =="
 # Session ids come from the runtime-global counter and every session op
 # routes to the shard owning its id, so the transcript must not change
 # with the deployment shape (only scheduler tallies, normalized above).
@@ -119,10 +121,16 @@ echo "== sharded smoke: 2 shards and --no-coalesce must replay the golden byte-i
   < tools/serve_smoke.in 2>/dev/null \
   | sed -E "$NORMALIZE" > /tmp/ptk_serve_shards2.out
 diff tools/serve_smoke.golden /tmp/ptk_serve_shards2.out
-./build/tools/ptk_server "$SMOKE_CSV" --k 2 --fanout 2 --workers 1 --no-coalesce \
+./build/tools/ptk_server "$SMOKE_CSV" --k 2 --fanout 2 --workers 4 --shards 3 \
   < tools/serve_smoke.in 2>/dev/null \
-  | sed -E "$NORMALIZE" > /tmp/ptk_serve_nocoalesce.out
-diff tools/serve_smoke.golden /tmp/ptk_serve_nocoalesce.out
+  | sed -E "$NORMALIZE" > /tmp/ptk_serve_workers4_shards3.out
+diff tools/serve_smoke.golden /tmp/ptk_serve_workers4_shards3.out
+# Numeric flags parse whole fields: "2x" is a usage error (exit 2), not 2.
+SERVER_EXIT=0
+./build/tools/ptk_server "$SMOKE_CSV" --shards 2x < /dev/null \
+  > /dev/null 2>&1 || SERVER_EXIT=$?
+[ "$SERVER_EXIT" -eq 2 ] \
+  || { echo "ptk_server --shards 2x exited $SERVER_EXIT, want 2"; exit 1; }
 
 echo "== semantics smoke: per-session objectives vs golden, both wire formats =="
 # One transcript exercising all three ranking objectives (expected_rank,
@@ -255,7 +263,8 @@ cmake --build build-asan -j "$JOBS" \
   --target load_csv_fuzz constraint_fold_fuzz wal_replay_fuzz frame_fuzz \
   robustness_test data_test session_test engine_test simd_test \
   simd_property_test persist_test epoch_test shared_sessions_test \
-  codec_test runtime_test semantics_core_test semantics_property_test
+  codec_test serve_test runtime_test semantics_core_test \
+  semantics_property_test
 # epoch_test's reader hammer turns a premature reclamation into a
 # use-after-free; shared_sessions_test's close-all drain turns a node copy
 # that never reaches the limbo list into a leak (LeakSanitizer).
@@ -264,7 +273,7 @@ cmake --build build-asan -j "$JOBS" \
   && ./tests/simd_test && ./tests/simd_property_test \
   && ./tests/persist_test && ./tests/epoch_test \
   && ./tests/shared_sessions_test \
-  && ./tests/codec_test && ./tests/runtime_test \
+  && ./tests/codec_test && ./tests/serve_test && ./tests/runtime_test \
   && ./tests/semantics_core_test && ./tests/semantics_property_test)
 
 run_fuzz() {

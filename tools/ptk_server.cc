@@ -5,22 +5,27 @@
 // json | binary, see src/serve/codec.h), submits each decoded
 // serve::Request to the sharded, coalescing serve::Runtime, and writes
 // one response frame per request *in request order* — requests are
-// pipelined through the per-shard schedulers (per-session serialization,
-// per-request deadlines, admission shedding with retry_after_ms), and a
-// reorder buffer flushes responses in submission order.
+// pipelined through the per-shard executors (per-session order, queued
+// posts merged and idle reads batched, per-request deadlines, admission
+// shedding with retry_after_ms), and a reorder buffer flushes responses
+// in submission order.
 //
 // Usage:
-//   ptk_server <data.csv> [--wire json|binary] [--shards N]
-//              [--no-coalesce] [--k N] [--selector NAME]
-//              [--order sensitive] [--fanout N] [--workers N] [--queue N]
-//              [--max-sessions N] [--update-working] [--metrics]
-//              [--persist-dir PATH] [--no-fsync] [--snapshot-every N]
-//              [--recover]
+//   ptk_server <data.csv> [--wire json|binary] [--shards N] [--k N]
+//              [--selector NAME] [--semantics NAME] [--order sensitive]
+//              [--fanout N] [--workers N] [--queue N] [--max-sessions N]
+//              [--update-working] [--metrics] [--persist-dir PATH]
+//              [--no-fsync] [--snapshot-every N] [--recover]
 //
-// The response stream is bit-identical across --shards values and, once
-// decoded, across wire formats (see src/serve/runtime.h). With --metrics,
-// the process-wide metrics registry (the ptk_serve_* families among them)
-// is exported to stderr in Prometheus format at EOF.
+// --workers, --queue and --max-sessions are per-shard budgets. Every
+// numeric flag takes a whole positive integer; a malformed one exits 2
+// with the usage line.
+//
+// The response stream is bit-identical across --shards and --workers
+// values and, once decoded, across wire formats (see
+// src/serve/runtime.h). With --metrics, the process-wide metrics registry
+// (the ptk_serve_* families among them) is exported to stderr in
+// Prometheus format at EOF.
 //
 // Durability: --persist-dir journals every session under PATH (write-ahead
 // log per session, periodic snapshots, fsync-ordered acknowledgements);
@@ -34,14 +39,15 @@
 
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <string>
 #include <utility>
 
 #include "data/csv.h"
+#include "data/field_parse.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "serve/codec.h"
@@ -78,7 +84,7 @@ class OrderedWriter {
 int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s <data.csv> [--wire json|binary] [--shards N] "
-               "[--no-coalesce] [--k N] [--selector NAME] "
+               "[--k N] [--selector NAME] "
                "[--semantics entropy|expected_rank|ukranks] "
                "[--order sensitive] [--fanout N] [--workers N] [--queue N] "
                "[--max-sessions N] [--update-working] [--metrics] "
@@ -100,10 +106,17 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    // The flag's value as a whole positive int: "2x", "1e3" and " " are
+    // errors, not 2, 1 and 0.
     auto next_int = [&](int* out) {
-      if (i + 1 >= argc) return false;
-      *out = std::atoi(argv[++i]);
-      return *out > 0;
+      int64_t value = 0;
+      if (i + 1 >= argc ||
+          !ptk::data::internal::ParseInt64Field(argv[++i], &value) ||
+          value <= 0 || value > std::numeric_limits<int>::max()) {
+        return false;
+      }
+      *out = static_cast<int>(value);
+      return true;
     };
     if (arg == "--wire") {
       if (i + 1 >= argc) return Usage(argv[0]);
@@ -115,8 +128,6 @@ int main(int argc, char** argv) {
       wire = *format;
     } else if (arg == "--shards") {
       if (!next_int(&options.shards)) return Usage(argv[0]);
-    } else if (arg == "--no-coalesce") {
-      options.coalesce = false;
     } else if (arg == "--k") {
       if (!next_int(&options.manager.k)) return Usage(argv[0]);
     } else if (arg == "--fanout") {
@@ -124,7 +135,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--workers") {
       if (!next_int(&options.scheduler.workers)) return Usage(argv[0]);
     } else if (arg == "--queue") {
-      if (!next_int(&options.scheduler.queue_capacity)) return Usage(argv[0]);
+      if (!next_int(&options.queue_capacity)) return Usage(argv[0]);
     } else if (arg == "--max-sessions") {
       if (!next_int(&options.manager.max_sessions)) return Usage(argv[0]);
     } else if (arg == "--selector") {
